@@ -4,7 +4,8 @@
 // measures *real elapsed* time of the compute primitives the engine runs
 // per task — evaluate, combine, single-pass shuffle partitioning, shard
 // sort, size accounting — on Table-I-sized batches, plus the map-phase
-// pipeline through the compute ThreadPool at 1/2/4/8 threads.
+// pipeline through the compute ThreadPool at 1/2/4/8 threads and TeraSort
+// input generation (Workload::Build) on a 1/2/4-thread compute pool.
 //
 // Two references are included for before/after comparison:
 //  * "legacy:*" rows re-implement the pre-optimization algorithms
@@ -28,15 +29,18 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/threadpool.h"
 #include "data/combiner.h"
 #include "data/compression.h"
 #include "data/partitioner.h"
+#include "engine/cluster.h"
 #include "exec/task_compute.h"
 #include "harness.h"
 #include "rdd/rdd.h"
+#include "workloads/hibench.h"
 
 namespace {
 
@@ -143,6 +147,21 @@ SourceRdd::Partition MakePartition(RecordsPtr records) {
   p.node = 0;
   p.bytes = SerializedSize(*records);
   return p;
+}
+
+// FNV-1a digest of the records and nodes of the source partitions at the
+// root of `rdd`'s first-parent lineage.
+std::uint64_t SourceDigest(const RddPtr& rdd) {
+  auto src = std::dynamic_pointer_cast<SourceRdd>(rdd);
+  if (src == nullptr) return SourceDigest(rdd->parents().front());
+  std::uint64_t h = kFnvOffsetBasis;
+  for (int p = 0; p < src->num_partitions(); ++p) {
+    h = Fnv1a64(std::to_string(src->partition(p).node), h);
+    for (const Record& r : *src->partition(p).records) {
+      h = Fnv1a64(ToString(r), h);
+    }
+  }
+  return h;
 }
 
 }  // namespace
@@ -314,6 +333,40 @@ int main() {
     ms.push_back(WallMeasurement{"map-pipeline", threads, kMaps, best});
   }
 
+  // --- TeraSort input generation at 1/2/4 pool threads -------------------
+  // Workload::Build generates one source partition per pool job, each from
+  // its own stream, so the input is identical at every width and the time
+  // should fall with it (CI gates 4 threads at <= 0.8x one thread). Min of
+  // 3 runs per width after an untimed warmup.
+  std::uint64_t reference_input = 0;
+  for (int threads : {1, 2, 4}) {
+    RunConfig cfg;
+    cfg.scale = scale;
+    cfg.compute_threads = threads;
+    GeoCluster cluster(Ec2SixRegionTopology(scale), cfg);
+    WorkloadParams params;
+    params.scale = scale;
+    params.map_partitions = kMaps;
+    auto terasort = MakeWorkload("terasort", params);
+    double best = 0;
+    for (int rep = -1; rep < 3; ++rep) {
+      const double start = WallSeconds();
+      const Dataset job = terasort->Build(cluster, /*data_seed=*/7);
+      const double elapsed = WallSeconds() - start;
+      const std::uint64_t digest = SourceDigest(job.rdd());
+      if (reference_input == 0) {
+        reference_input = digest;
+      } else if (digest != reference_input) {
+        std::cerr << "determinism violation: TeraSort input differs across "
+                     "pool widths\n";
+        return 1;
+      }
+      if (rep < 0) continue;
+      if (rep == 0 || elapsed < best) best = elapsed;
+    }
+    ms.push_back(WallMeasurement{"input-gen", threads, kMaps, best});
+  }
+
   TextTable table({"measurement", "threads", "iters", "wall ms",
                    "ms/iter"});
   for (const WallMeasurement& m : ms) {
@@ -346,7 +399,14 @@ int main() {
             << FmtDouble(find("map-pipeline", 1) /
                             std::max(1e-9, find("map-pipeline", 8)), 2)
             << "x (hardware concurrency: "
-            << ThreadPool::HardwareConcurrency() << ")\n";
+            << ThreadPool::HardwareConcurrency() << ")\n"
+            << "input-gen speedup vs 1 thread: 2t "
+            << FmtDouble(find("input-gen", 1) /
+                            std::max(1e-9, find("input-gen", 2)), 2)
+            << "x, 4t "
+            << FmtDouble(find("input-gen", 1) /
+                            std::max(1e-9, find("input-gen", 4)), 2)
+            << "x\n";
 
   const char* path = std::getenv("GS_BENCH_JSON");
   if (path != nullptr && *path != '\0') {

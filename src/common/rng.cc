@@ -33,12 +33,6 @@ Rng Rng::Split(std::uint64_t salt) {
   return Rng(z);
 }
 
-std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
-  GS_CHECK(lo <= hi);
-  std::uniform_int_distribution<std::int64_t> d(lo, hi);
-  return d(engine_);
-}
-
 double Rng::Uniform(double lo, double hi) {
   std::uniform_real_distribution<double> d(lo, hi);
   return d(engine_);

@@ -11,6 +11,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/check.h"
+
 namespace gs {
 
 class Rng {
@@ -22,8 +24,13 @@ class Rng {
   Rng Split(std::string_view tag);
   Rng Split(std::uint64_t salt);
 
-  // Uniform integer in [lo, hi] inclusive.
-  std::int64_t UniformInt(std::int64_t lo, std::int64_t hi);
+  // Uniform integer in [lo, hi] inclusive: exactly what
+  // std::uniform_int_distribution<std::int64_t> draws from this engine.
+  // Inline because input generation makes one call per character.
+  std::int64_t UniformInt(std::int64_t lo, std::int64_t hi) {
+    GS_CHECK(lo <= hi);
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+  }
 
   // Uniform real in [lo, hi).
   double Uniform(double lo, double hi);

@@ -10,24 +10,6 @@
 namespace gs {
 namespace {
 
-// Splits `records` into `parts` nearly equal chunks.
-std::vector<std::vector<Record>> Chunk(std::vector<Record> records,
-                                       int parts) {
-  GS_CHECK(parts > 0);
-  std::vector<std::vector<Record>> out(parts);
-  const std::size_t per = (records.size() + parts - 1) / parts;
-  for (int i = 0; i < parts; ++i) {
-    const std::size_t begin = i * per;
-    const std::size_t end =
-        std::min(records.size(), begin + per);
-    if (begin < end) {
-      out[i].assign(std::make_move_iterator(records.begin() + begin),
-                    std::make_move_iterator(records.begin() + end));
-    }
-  }
-  return out;
-}
-
 std::vector<std::string> Tokenize(const std::string& text) {
   std::vector<std::string> words;
   std::size_t start = 0;
@@ -57,19 +39,15 @@ class WordCount final : public Workload {
 
   Dataset Build(GeoCluster& cluster, std::uint64_t data_seed) override {
     Rng rng = Rng(data_seed).Split("wordcount");
-    std::vector<std::string> vocab = MakeVocabulary(5000, rng);
-    ZipfSampler zipf(vocab.size(), 1.1);
+    const std::vector<std::string> vocab = MakeVocabulary(5000, rng);
+    const ZipfSampler zipf(vocab.size(), 1.1);
     const Bytes total = static_cast<Bytes>(GiB(3.2) / params().scale);
     const Bytes per_part = total / params().map_partitions;
 
-    std::vector<std::vector<Record>> parts;
-    for (int p = 0; p < params().map_partitions; ++p) {
-      parts.push_back(MakeTextLines(per_part, 20, vocab, zipf, rng));
-    }
-    Dataset input = cluster.CreateSource(
-        "wordcount-input",
-        PlacePartitions(cluster.topology(), std::move(parts),
-                        Weights(cluster.topology())));
+    Dataset input = GenerateSource(
+        cluster, "wordcount-input", rng, [&](int, Rng& part_rng) {
+          return MakeTextLines(per_part, 20, vocab, zipf, part_rng);
+        });
 
     Dataset counts =
         input
@@ -121,15 +99,14 @@ class Sort final : public Workload {
     Rng rng = Rng(data_seed).Split("sort");
     // HiBench Sort operates on generated *text* (RandomTextWriter), which
     // compresses well in shuffle files.
-    std::vector<std::string> vocab = MakeVocabulary(1000, rng);
+    const std::vector<std::string> vocab = MakeVocabulary(1000, rng);
     const std::size_t count = static_cast<std::size_t>(TotalBytes() / 116);
-    std::vector<Record> records =
-        MakeKeyValueRecords(count, 90, rng, kHexAlphabet, &vocab);
-    Dataset input = cluster.CreateSource(
-        "sort-input",
-        PlacePartitions(cluster.topology(),
-                        Chunk(std::move(records), params().map_partitions),
-                        Weights(cluster.topology())));
+    const int parts = params().map_partitions;
+    Dataset input = GenerateSource(
+        cluster, "sort-input", rng, [&](int p, Rng& part_rng) {
+          return MakeKeyValueRecords(PartitionRange(count, parts, p).size(),
+                                     90, part_rng, kHexAlphabet, &vocab);
+        });
     Dataset sorted = input.SortByKey(
         UniformBoundaries(params().reduce_tasks, kHexAlphabet));
     return sorted;
@@ -166,13 +143,13 @@ class TeraSort final : public Workload {
     // gensort-style records: high-entropy keys and values that barely
     // compress — combined with the bloating map below, the shuffle input
     // exceeds the raw input, the paper's TeraSort anomaly.
-    std::vector<Record> records = MakeKeyValueRecords(
-        NumRecords(), 90, rng, kPrintableAlphabet, nullptr);
-    Dataset input = cluster.CreateSource(
-        "terasort-input",
-        PlacePartitions(cluster.topology(),
-                        Chunk(std::move(records), params().map_partitions),
-                        Weights(cluster.topology())));
+    const int parts = params().map_partitions;
+    Dataset input = GenerateSource(
+        cluster, "terasort-input", rng, [&](int p, Rng& part_rng) {
+          return MakeKeyValueRecords(
+              PartitionRange(NumRecords(), parts, p).size(), 90, part_rng,
+              kPrintableAlphabet, nullptr);
+        });
 
     Dataset staged = input;
     if (params().terasort_explicit_transfer) {
@@ -222,12 +199,14 @@ class PageRank final : public Workload {
 
   Dataset Build(GeoCluster& cluster, std::uint64_t data_seed) override {
     Rng rng = Rng(data_seed).Split("pagerank");
-    std::vector<Record> raw = MakeRawPages(rng);
-    Dataset input = cluster.CreateSource(
-        "pagerank-input",
-        PlacePartitions(cluster.topology(),
-                        Chunk(std::move(raw), params().map_partitions),
-                        Weights(cluster.topology())));
+    const std::vector<std::string> vocab = MakeVocabulary(800, rng);
+    const ZipfSampler zipf(vocab.size(), 1.1);
+    const int parts = params().map_partitions;
+    Dataset input = GenerateSource(
+        cluster, "pagerank-input", rng, [&](int p, Rng& part_rng) {
+          return MakeRawPages(PartitionRange(NumPages(), parts, p), vocab,
+                              zipf, part_rng);
+        });
 
     // Parse documents to adjacency vectors; the page content is dropped,
     // so the shuffle input is far smaller than the raw input.
@@ -328,12 +307,14 @@ class PageRank final : public Workload {
     return static_cast<std::size_t>(500000 / params().scale);
   }
 
-  // Raw page documents: ~400 bytes of page text plus the out-link list —
-  // the parse map discards the text, like HiBench's PageRank input.
-  std::vector<Record> MakeRawPages(Rng& rng) {
-    std::vector<Record> graph = MakeWebGraph(NumPages(), 12.0, rng);
-    std::vector<std::string> vocab = MakeVocabulary(800, rng);
-    ZipfSampler zipf(vocab.size(), 1.1);
+  // Raw documents of pages `range`: ~400 bytes of page text plus the
+  // out-link list — the parse map discards the text, like HiBench's
+  // PageRank input.
+  std::vector<Record> MakeRawPages(IndexRange range,
+                                   const std::vector<std::string>& vocab,
+                                   const ZipfSampler& zipf, Rng& rng) const {
+    std::vector<Record> graph =
+        MakeWebGraph(NumPages(), range.begin, range.end, 12.0, rng);
     std::vector<Record> raw;
     raw.reserve(graph.size());
     for (Record& page : graph) {
@@ -376,15 +357,14 @@ class NaiveBayes final : public Workload {
 
   Dataset Build(GeoCluster& cluster, std::uint64_t data_seed) override {
     Rng rng = Rng(data_seed).Split("naivebayes");
-    std::vector<std::string> vocab = MakeVocabulary(3000, rng);
-    ZipfSampler zipf(vocab.size(), 1.1);
-    std::vector<Record> docs =
-        MakeLabelledDocs(NumDocs(), 100, 150, vocab, zipf, rng);
-    Dataset input = cluster.CreateSource(
-        "naivebayes-input",
-        PlacePartitions(cluster.topology(),
-                        Chunk(std::move(docs), params().map_partitions),
-                        Weights(cluster.topology())));
+    const std::vector<std::string> vocab = MakeVocabulary(3000, rng);
+    const ZipfSampler zipf(vocab.size(), 1.1);
+    const int parts = params().map_partitions;
+    Dataset input = GenerateSource(
+        cluster, "naivebayes-input", rng, [&](int p, Rng& part_rng) {
+          return MakeLabelledDocs(PartitionRange(NumDocs(), parts, p).size(),
+                                  100, 150, vocab, zipf, part_rng);
+        });
 
     Dataset model =
         input
@@ -430,6 +410,17 @@ std::vector<double> Workload::Weights(const Topology& topo) const {
     return params_.dc_weights;
   }
   return DefaultDcWeights(topo.num_datacenters());
+}
+
+Dataset Workload::GenerateSource(GeoCluster& cluster, std::string name,
+                                 Rng& rng,
+                                 const PartitionGenerator& fn) const {
+  return cluster.CreateSource(
+      std::move(name),
+      PlacePartitions(
+          cluster.topology(),
+          GeneratePartitions(cluster, rng, params_.map_partitions, fn),
+          Weights(cluster.topology())));
 }
 
 std::unique_ptr<Workload> MakeWorkload(std::string_view name,

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <future>
+#include <unordered_set>
 
 #include "common/check.h"
+#include "common/threadpool.h"
 
 namespace gs {
 
@@ -61,19 +64,51 @@ std::vector<SourceRdd::Partition> PlacePartitions(
   return placed;
 }
 
+IndexRange PartitionRange(std::size_t total, int parts, int p) {
+  GS_CHECK(parts > 0 && p >= 0 && p < parts);
+  const std::size_t per = (total + parts - 1) / parts;
+  const std::size_t begin = std::min(total, static_cast<std::size_t>(p) * per);
+  return IndexRange{begin, std::min(total, begin + per)};
+}
+
+std::vector<std::vector<Record>> GeneratePartitions(
+    GeoCluster& cluster, Rng& rng, int parts, const PartitionGenerator& fn) {
+  GS_CHECK(parts > 0);
+  std::vector<Rng> streams;
+  streams.reserve(parts);
+  for (int p = 0; p < parts; ++p) {
+    streams.push_back(rng.Split(static_cast<std::uint64_t>(p)));
+  }
+  std::vector<std::function<std::vector<Record>()>> jobs;
+  jobs.reserve(parts);
+  for (int p = 0; p < parts; ++p) {
+    jobs.emplace_back([&fn, &streams, p] { return fn(p, streams[p]); });
+  }
+  auto futures = cluster.compute_pool().SubmitBatch(std::move(jobs));
+  // Every job borrows `streams` and `fn`: let all of them finish before a
+  // failed one's exception unwinds this frame.
+  for (auto& f : futures) f.wait();
+  std::vector<std::vector<Record>> partitions;
+  partitions.reserve(parts);
+  for (auto& f : futures) partitions.push_back(f.get());
+  return partitions;
+}
+
 std::vector<std::string> MakeVocabulary(std::size_t size, Rng& rng) {
   std::vector<std::string> vocab;
   vocab.reserve(size);
+  std::unordered_set<std::string> seen;
+  seen.reserve(size);
   const char* alphabet = "abcdefghijklmnopqrstuvwxyz";
   for (std::size_t i = 0; i < size; ++i) {
-    int len = static_cast<int>(rng.UniformInt(3, 12));
+    // The suffix separates most equal letter draws; a word that still
+    // collides is redrawn.
     std::string word;
-    word.reserve(len);
-    for (int c = 0; c < len; ++c) {
-      word.push_back(alphabet[rng.UniformInt(0, 25)]);
-    }
-    // Guarantee uniqueness with a short suffix.
-    word += std::to_string(i % 97);
+    do {
+      word.assign(static_cast<std::size_t>(rng.UniformInt(3, 12)), ' ');
+      for (char& c : word) c = alphabet[rng.UniformInt(0, 25)];
+      word += std::to_string(i % 97);
+    } while (!seen.insert(word).second);
     vocab.push_back(std::move(word));
   }
   return vocab;
@@ -111,8 +146,8 @@ std::vector<Record> MakeKeyValueRecords(std::size_t count, int value_len,
     std::string key(10, alphabet[0]);
     for (char& c : key) c = alphabet[rng.UniformInt(0, amax)];
     std::string value;
-    value.reserve(value_len);
     if (vocab != nullptr) {
+      value.reserve(value_len);
       while (static_cast<int>(value.size()) < value_len) {
         if (!value.empty()) value.push_back(' ');
         value += (*vocab)[rng.UniformInt(
@@ -120,9 +155,8 @@ std::vector<Record> MakeKeyValueRecords(std::size_t count, int value_len,
       }
       value.resize(value_len);
     } else {
-      for (int c = 0; c < value_len; ++c) {
-        value.push_back(kPrintableAlphabet[rng.UniformInt(0, 63)]);
-      }
+      value.resize(value_len);
+      for (char& c : value) c = kPrintableAlphabet[rng.UniformInt(0, 63)];
     }
     records.push_back(Record{std::move(key), std::move(value)});
   }
@@ -149,16 +183,18 @@ std::vector<std::string> UniformBoundaries(int num_shards,
   return boundaries;
 }
 
-std::vector<Record> MakeWebGraph(std::size_t num_pages, double avg_degree,
+std::vector<Record> MakeWebGraph(std::size_t num_pages, std::size_t first,
+                                 std::size_t last, double avg_degree,
                                  Rng& rng) {
   GS_CHECK(num_pages > 1);
+  GS_CHECK(first <= last && last <= num_pages);
   std::vector<Record> pages;
-  pages.reserve(num_pages);
+  pages.reserve(last - first);
   // Power-law-ish out-degrees: most pages have few links, a head has many.
   ZipfSampler degree_sampler(64, 1.3);
   const double degree_scale =
       avg_degree / 8.9;  // E[zipf(64,1.3)+1] ~= 8.9, rescale to avg_degree
-  for (std::size_t i = 0; i < num_pages; ++i) {
+  for (std::size_t i = first; i < last; ++i) {
     int degree = std::max(
         1, static_cast<int>((degree_sampler.Sample(rng) + 1) * degree_scale));
     std::vector<std::string> links;

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
 
 namespace gs {
@@ -57,6 +60,36 @@ TEST(RngTest, UniformIntBounds) {
 TEST(RngTest, UniformIntDegenerateRange) {
   Rng rng(5);
   EXPECT_EQ(rng.UniformInt(4, 4), 4);
+}
+
+TEST(RngTest, UniformIntMatchesStdDistribution) {
+  // UniformInt is the stream every seeded component draws from; it must stay
+  // exactly std::uniform_int_distribution<std::int64_t> over mt19937_64.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  // Range sizes 1, 2, 16, 26, 64, 1000, 2^32 + 1, negative lows, and the
+  // full int64 span.
+  const std::vector<std::pair<std::int64_t, std::int64_t>> ranges = {
+      {0, 0},   {0, 1},         {0, 15},       {0, 25}, {0, 63},
+      {0, 999}, {0, 1LL << 32}, {-1000, 1000}, {-3, 7}, {kMin, kMax}};
+  for (const auto& [lo, hi] : ranges) {
+    Rng rng(21);
+    std::mt19937_64 reference(21);
+    std::uniform_int_distribution<std::int64_t> dist(lo, hi);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::int64_t want = dist(reference);
+      const std::int64_t got = rng.UniformInt(lo, hi);
+      if (got != want) {
+        FAIL() << "[" << lo << ", " << hi << "] draw " << i << ": " << got
+               << " != " << want;
+      }
+    }
+  }
+}
+
+TEST(RngTest, UniformIntRejectsEmptyRange) {
+  Rng rng(5);
+  EXPECT_THROW(rng.UniformInt(1, 0), CheckFailure);
 }
 
 TEST(RngTest, UniformRealBounds) {

@@ -2,10 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+
+#include "common/hash.h"
 
 namespace gs {
 namespace {
+
+std::uint64_t Digest(const std::vector<Record>& records) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (const Record& r : records) h = Fnv1a64(ToString(r), h);
+  return h;
+}
+
+RunConfig PoolConfig(int threads) {
+  RunConfig cfg;
+  cfg.compute_threads = threads;
+  return cfg;
+}
 
 TEST(InputGenTest, DefaultWeightsSkewToIngestRegion) {
   auto w = DefaultDcWeights(6);
@@ -50,12 +65,18 @@ TEST(InputGenTest, PlacePartitionsRoundRobinsWithinDc) {
 }
 
 TEST(InputGenTest, VocabularyIsUniqueAndDeterministic) {
-  Rng a(3), b(3);
-  auto va = MakeVocabulary(2000, a);
-  auto vb = MakeVocabulary(2000, b);
-  EXPECT_EQ(va, vb);
-  std::set<std::string> unique(va.begin(), va.end());
-  EXPECT_EQ(unique.size(), va.size());
+  // The workloads' vocabulary sizes. Before collisions were redrawn, 20 of
+  // these seeds at size 5000 and 8 at size 3000 gave duplicate words.
+  for (std::size_t size : {800u, 1000u, 3000u, 5000u}) {
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      Rng a(seed), b(seed);
+      auto va = MakeVocabulary(size, a);
+      ASSERT_EQ(va, MakeVocabulary(size, b)) << size << " seed " << seed;
+      ASSERT_EQ(va.size(), size);
+      std::set<std::string> unique(va.begin(), va.end());
+      ASSERT_EQ(unique.size(), size) << size << " seed " << seed;
+    }
+  }
 }
 
 TEST(InputGenTest, TextLinesHitByteTarget) {
@@ -79,6 +100,15 @@ TEST(InputGenTest, KeyValueRecordsShape) {
     }
     EXPECT_EQ(std::get<std::string>(r.value).size(), 90u);
   }
+}
+
+TEST(InputGenTest, KeyValueRecordsStreamIsPinned) {
+  // simcheck's Sort-shaped configurations draw their records through this
+  // call; the digest was recorded before UniformInt moved inline and values
+  // were filled in place, and must never change.
+  Rng rng(5);
+  auto records = MakeKeyValueRecords(1000, 16, rng, kHexAlphabet, nullptr);
+  EXPECT_EQ(Digest(records), 0x9de25ce3ccac8e73ull);
 }
 
 TEST(InputGenTest, TextValuesUseVocabulary) {
@@ -126,6 +156,75 @@ TEST(InputGenTest, WebGraphShape) {
     }
   }
   EXPECT_NEAR(total_degree / 500.0, 12.0, 6.0);
+}
+
+TEST(InputGenTest, WebGraphRangeKeepsPageIdsAndTargets) {
+  Rng rng(8);
+  auto pages = MakeWebGraph(500, 120, 180, 12.0, rng);
+  ASSERT_EQ(pages.size(), 60u);
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    EXPECT_EQ(pages[i].key, "p" + std::to_string(120 + i));
+    for (const auto& l : std::get<std::vector<std::string>>(pages[i].value)) {
+      const int target = std::stoi(l.substr(1));
+      EXPECT_GE(target, 0);
+      EXPECT_LT(target, 500);
+      EXPECT_NE(l, pages[i].key) << "no self-links";
+    }
+  }
+  EXPECT_TRUE(MakeWebGraph(500, 7, 7, 12.0, rng).empty());
+  EXPECT_THROW(MakeWebGraph(500, 10, 501, 12.0, rng), CheckFailure);
+}
+
+TEST(InputGenTest, PartitionRangeMatchesCeilingChunks) {
+  // ceil(10 / 4) = 3: 3, 3, 3, 1.
+  EXPECT_EQ(PartitionRange(10, 4, 0).begin, 0u);
+  EXPECT_EQ(PartitionRange(10, 4, 2).begin, 6u);
+  EXPECT_EQ(PartitionRange(10, 4, 2).size(), 3u);
+  EXPECT_EQ(PartitionRange(10, 4, 3).begin, 9u);
+  EXPECT_EQ(PartitionRange(10, 4, 3).size(), 1u);
+  // ceil(5 / 4) = 2: 2, 2, 1, 0.
+  EXPECT_EQ(PartitionRange(5, 4, 2).size(), 1u);
+  EXPECT_EQ(PartitionRange(5, 4, 3).size(), 0u);
+  EXPECT_EQ(PartitionRange(5, 4, 3).begin, 5u);
+  EXPECT_THROW(PartitionRange(5, 4, 4), CheckFailure);
+}
+
+TEST(InputGenTest, GeneratePartitionsIsIndependentOfPoolWidth) {
+  auto generate = [](int threads) {
+    GeoCluster cluster(Ec2SixRegionTopology(), PoolConfig(threads));
+    Rng rng(11);
+    return GeneratePartitions(cluster, rng, 16, [](int p, Rng& part_rng) {
+      return MakeKeyValueRecords(static_cast<std::size_t>(50 + p), 20,
+                                 part_rng, kPrintableAlphabet, nullptr);
+    });
+  };
+  const auto one = generate(1);
+  ASSERT_EQ(one.size(), 16u);
+  for (int p = 0; p < 16; ++p) EXPECT_EQ(one[p].size(), 50u + p);
+  EXPECT_EQ(one, generate(4));
+  EXPECT_EQ(one, generate(4));
+  // Partition p draws from rng.Split(p), split in partition order.
+  Rng rng(11);
+  for (int p = 0; p < 16; ++p) {
+    Rng part_rng = rng.Split(static_cast<std::uint64_t>(p));
+    EXPECT_EQ(one[p], MakeKeyValueRecords(static_cast<std::size_t>(50 + p),
+                                          20, part_rng, kPrintableAlphabet,
+                                          nullptr));
+  }
+}
+
+TEST(InputGenTest, GeneratePartitionsRethrowsAfterAllJobsFinish) {
+  GeoCluster cluster(Ec2SixRegionTopology(), PoolConfig(4));
+  Rng rng(12);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(GeneratePartitions(cluster, rng, 8,
+                                  [&ran](int p, Rng&) {
+                                    ++ran;
+                                    GS_CHECK(p != 3);
+                                    return std::vector<Record>{};
+                                  }),
+               CheckFailure);
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(InputGenTest, LabelledDocsUseAllClasses) {
