@@ -85,17 +85,18 @@ std::vector<Record> WordcountBatch(Rng& rng, std::size_t n) {
 
 // The production map-task compute: evaluate + optional combine +
 // single-pass shuffle split, exactly as the engine submits it. The batch
-// is moved in, like the engine moves a task's gathered records.
+// is a shared chunk, like the engine hands a task its gathered records;
+// the stage output is the boundary itself, so Evaluate copies the chunk
+// inside the job.
 TaskComputeResult RunMapCompute(const Rdd& source, int partition,
-                                std::vector<Record> batch,
-                                const ShuffleInfo& info,
+                                RecordsPtr batch, const ShuffleInfo& info,
                                 const CombineFn* combine) {
   TaskComputeSpec spec;
   spec.output_rdd = &source;
   spec.partition = partition;
   spec.start.rdd = &source;
   spec.start.partition = partition;
-  spec.start.records = std::move(batch);
+  spec.start.chunks = {std::move(batch)};
   spec.combine = combine;
   spec.output = StageOutputKind::kShuffleWrite;
   spec.consumer_shuffle = &info;
@@ -213,20 +214,22 @@ int main() {
     return elapsed;
   };
 
-  // Inputs are copied before (not inside) the timed region, then moved
-  // into each call — the engine never copies gathered records.
-  std::vector<std::vector<Record>> inputs = tera_batches;
+  // Inputs are shared chunks built before the timed region. Both rows
+  // copy the chunk once inside it: ComputeTask because the output is the
+  // boundary, the legacy row to own its input.
+  std::vector<RecordsPtr> inputs;
+  inputs.reserve(tera_batches.size());
+  for (const std::vector<Record>& batch : tera_batches) {
+    inputs.push_back(MakeRecords(batch));
+  }
   measure("partition", kMaps, [&](int i) {
     TaskComputeResult r = RunMapCompute(
-        source, i, std::move(inputs[static_cast<std::size_t>(i)]), info,
-        nullptr);
+        source, i, inputs[static_cast<std::size_t>(i)], info, nullptr);
     if (r.shard_total_bytes == 0) std::abort();
   });
-  inputs = tera_batches;
   measure("legacy:partition", kMaps, [&](int i) {
-    auto [shards, total] =
-        LegacyPartition(std::move(inputs[static_cast<std::size_t>(i)]),
-                        *info.partitioner);
+    auto [shards, total] = LegacyPartition(
+        *inputs[static_cast<std::size_t>(i)], *info.partitioner);
     if (total == 0) std::abort();
   });
   measure("combine", 8, [&](int) {
@@ -311,8 +314,8 @@ int main() {
       for (int m = 0; m < kMaps; ++m) {
         wave.emplace_back([&, m] {
           return RunMapCompute(source, m,
-                               tera_batches[static_cast<std::size_t>(m)],
-                               info, nullptr);
+                               inputs[static_cast<std::size_t>(m)], info,
+                               nullptr);
         });
       }
       std::vector<std::future<TaskComputeResult>> futures =

@@ -41,10 +41,11 @@ JobRunner::JobRunner(GeoCluster& cluster, RddPtr final_rdd, ActionKind action,
       tenant_(tenant) {}
 
 JobRunner::~JobRunner() {
-  // Compute jobs of discarded attempts are never joined (their stale
-  // OnGatherDone no-ops); let them finish before the stage structures
-  // they reference go away. An unsent wave must reach the pool first, or
-  // its packaged tasks die with this runner and nothing runs them.
+  // Compute jobs of discarded attempts and dropped receiver inboxes are
+  // never joined (their stale continuations no-op); let them finish
+  // before the stage structures they reference go away. An unsent wave
+  // must reach the pool first, or its packaged tasks die with this runner
+  // and nothing runs them.
   FlushComputeBatch();
   cluster_.compute_pool().WaitIdle();
 }
@@ -475,7 +476,7 @@ void JobRunner::StartGather(TaskRun& task) {
     }
     std::optional<Block> block = cluster_.blocks().Get(from, id);
     GS_CHECK(block.has_value());
-    task.gathered = *block->records;
+    task.gathered.push_back(block->records);
     task.in_bytes = block->bytes;
     task.gather_is_processed = true;
     if (from == task.node) {
@@ -487,7 +488,7 @@ void JobRunner::StartGather(TaskRun& task) {
     const auto& src = static_cast<const SourceRdd&>(*cut.rdd);
     const SourceRdd::Partition& part = src.partition(cut.partition);
     NodeIndex loc = cluster_.SourceLocation(src, cut.partition);
-    task.gathered = *part.records;
+    task.gathered.push_back(part.records);
     task.in_bytes = part.bytes;
     if (loc == task.node) {
       add_disk_read(part.bytes);
@@ -533,10 +534,7 @@ void JobRunner::StartGather(TaskRun& task) {
       std::optional<Block> block = cluster_.blocks().Get(
           out.node, BlockId::Shuffle(sid, m, shard));
       if (!block.has_value()) continue;  // lost with its node
-      if (!doomed) {
-        task.gathered.insert(task.gathered.end(), block->records->begin(),
-                             block->records->end());
-      }
+      if (!doomed) task.gathered.push_back(block->records);
       task.in_bytes += out.bytes;
       if (out.node == task.node) {
         local_bytes += out.bytes;
@@ -574,7 +572,7 @@ void JobRunner::SubmitCompute(TaskRun& task) {
   spec.partition = task.partition;
   spec.start.rdd = task.cut_rdd;
   spec.start.partition = task.cut_partition;
-  spec.start.records = std::move(task.gathered);
+  spec.start.chunks = std::move(task.gathered);
   spec.start.already_processed = task.gather_is_processed;
   task.gathered.clear();
   if (sr.stage.pre_output_combine && !config_.disable_map_side_combine) {
@@ -919,10 +917,8 @@ void JobRunner::OnNodeCrashed(NodeIndex node) {
           if (!recv.done && recv.producer_done && !recv.data_landed &&
               recv.producer_node == node) {
             ++recv.epoch;
-            recv.producer_done = false;
             recv.receiver_started = false;
-            recv.inbox.reset();
-            recv.inbox_bytes = 0;
+            DropInbox(recv);
             ResubmitCompletedTask(sr, task);
           }
         }
@@ -959,10 +955,8 @@ void JobRunner::RestartTask(TaskRun& task) {
     if (!recv.done && recv.producer_done && !recv.data_landed &&
         recv.producer_node == task.node) {
       ++recv.epoch;
-      recv.producer_done = false;
       recv.receiver_started = false;
-      recv.inbox.reset();
-      recv.inbox_bytes = 0;
+      DropInbox(recv);
     }
   }
   // Frees the held slot when the task is restarted because a gather
@@ -998,9 +992,7 @@ void JobRunner::ResubmitCompletedTask(StageRun& sr, TaskRun& task) {
     task.node = PickReceiverNode(sr, kNoNode);
     if (!cluster_.scheduler().node_up(task.producer_node)) {
       // The push source died too: recompute the producer, which re-pushes.
-      task.producer_done = false;
-      task.inbox.reset();
-      task.inbox_bytes = 0;
+      DropInbox(task);
       StageRun& producer_sr = stage_run(sr.stage.transfer_producer);
       TaskRun& pt = *producer_sr.tasks[task.partition];
       if (pt.done) {
@@ -1113,9 +1105,7 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
   if (!cluster_.scheduler().node_up(receiver.producer_node)) {
     // Double fault: the push source died too, so the retained output is
     // gone — recompute the producer, which will re-notify.
-    receiver.producer_done = false;
-    receiver.inbox.reset();
-    receiver.inbox_bytes = 0;
+    DropInbox(receiver);
     receiver.node = PickReceiverNode(consumer, kNoNode);
     StageRun& producer_sr = stage_run(consumer.stage.transfer_producer);
     TaskRun& pt = *producer_sr.tasks[receiver.partition];
@@ -1397,6 +1387,7 @@ void JobRunner::NotifyReceiver(StageRun& producer_sr, TaskRun& producer_task,
   receiver.inbox = MakeRecords(std::move(records));
   receiver.producer_done = true;
   receiver.producer_node = producer_task.node;
+  SubmitReceiverCompute(receiver);
   TryDeliver(receiver);
 }
 
@@ -1438,7 +1429,8 @@ void JobRunner::ReceiverGotData(TaskRun& receiver) {
   SubmitTask(receiver);
 }
 
-void JobRunner::ExecuteReceiver(TaskRun& receiver) {
+void JobRunner::SubmitReceiverCompute(TaskRun& receiver) {
+  GS_CHECK(receiver.inbox != nullptr);
   StageRun& sr = stage_run(receiver.stage);
   // Evaluate the receiver's narrow chain starting at the TransferredRdd.
   LeafRef leaf = ResolveLeaf(*sr.stage.output_rdd, receiver.partition);
@@ -1449,9 +1441,9 @@ void JobRunner::ExecuteReceiver(TaskRun& receiver) {
   spec.partition = receiver.partition;
   spec.start.rdd = leaf.leaf;
   spec.start.partition = leaf.partition;
-  // Copy, don't consume: the inbox is retained so a crash of this node can
-  // be recovered by re-pushing instead of recomputing the producer.
-  spec.start.records = *receiver.inbox;
+  // Shared, not consumed: the inbox is retained so a crash of this node
+  // can be recovered by re-pushing instead of recomputing the producer.
+  spec.start.chunks = {receiver.inbox};
   // Receivers combine whenever the stage asks: disable_map_side_combine
   // only switches off the *map-side* pass (the Sec. IV-C3 knob); the
   // receiver's combine is the aggregation the transfer exists for.
@@ -1462,16 +1454,20 @@ void JobRunner::ExecuteReceiver(TaskRun& receiver) {
   if (sr.stage.consumer_shuffle != nullptr) {
     spec.consumer_shuffle = &sr.stage.consumer_shuffle->shuffle();
   }
-  receiver.in_bytes = receiver.inbox_bytes;
+  receiver.compute =
+      cluster_.compute_pool().Submit([spec = std::move(spec)]() mutable {
+        return ComputeTask(std::move(spec));
+      });
+}
 
-  // One compute path for every task kind: receivers run through the pool
-  // too, with an immediate join (their write phase is entered with the
-  // output size in hand, so there is no gather window to overlap).
-  TaskComputeResult out = cluster_.compute_pool()
-                              .Submit([spec = std::move(spec)]() mutable {
-                                return ComputeTask(std::move(spec));
-                              })
-                              .get();
+void JobRunner::ExecuteReceiver(TaskRun& receiver) {
+  // The compute was submitted when the inbox was set and has overlapped
+  // the push; join it now that the write phase needs the output size. A
+  // recovery re-run finds the future consumed and recomputes from the
+  // retained inbox.
+  if (!receiver.compute.valid()) SubmitReceiverCompute(receiver);
+  TaskComputeResult out = receiver.compute.get();
+  receiver.in_bytes = receiver.inbox_bytes;
   // Receiving is I/O-bound; charge a nominal CPU cost for deserialization.
   const SimTime cpu = config_.cost.CpuTime(0, out.out_bytes / 4);
 
@@ -1485,6 +1481,13 @@ void JobRunner::ExecuteReceiver(TaskRun& receiver) {
     }
     OnComputeDone(*r, std::move(out));
   });
+}
+
+void JobRunner::DropInbox(TaskRun& receiver) {
+  receiver.producer_done = false;
+  receiver.inbox.reset();
+  receiver.inbox_bytes = 0;
+  receiver.compute = {};
 }
 
 // ---------------------------------------------------------------------------

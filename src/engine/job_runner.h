@@ -83,7 +83,9 @@ class JobRunner {
 
     // Gather state.
     int pending_gathers = 0;
-    std::vector<Record> gathered;
+    // The boundary records as shared chunks, in gather order; the loop
+    // moves pointers only (copies happen inside the compute job).
+    std::vector<RecordsPtr> gathered;
     std::vector<NodeIndex> gather_srcs;  // remote nodes being read from
     Bytes in_bytes = 0;
     bool gather_is_processed = false;  // records came from a cache hit
@@ -97,9 +99,11 @@ class JobRunner {
     ShuffleId fetch_failed_sid = -1;
     std::vector<int> fetch_failed_maps;
 
-    // In-flight compute: submitted to the pool when the gather starts,
-    // joined at the simulated gather-done event (docs/PERF.md). A restart
-    // simply overwrites the future; the orphaned job's result is dropped.
+    // In-flight compute (docs/PERF.md): submitted to the pool when the
+    // gather starts and joined at the simulated gather-done event; for a
+    // receiver, submitted when its inbox is set and joined when its write
+    // phase starts. A restart simply overwrites the future; the orphaned
+    // job's result is dropped.
     std::future<TaskComputeResult> compute;
 
     // Receiver state (stages starting at a TransferredRdd). The inbox is
@@ -218,7 +222,18 @@ class JobRunner {
                       std::vector<Record> records, Bytes push_bytes);
   void TryDeliver(TaskRun& receiver);
   void ReceiverGotData(TaskRun& receiver);  // data landed: request a slot
-  void ExecuteReceiver(TaskRun& receiver);  // slot acquired: run the chain
+  // Submits the receiver's compute — a pure function of (stage, partition,
+  // inbox) — to the pool as soon as the inbox is set, so it overlaps the
+  // push and every other receiver instead of blocking the loop.
+  void SubmitReceiverCompute(TaskRun& receiver);
+  // Slot acquired: joins the receiver's compute (resubmitting it from the
+  // retained inbox if a recovery re-run already consumed it) and schedules
+  // the write phase.
+  void ExecuteReceiver(TaskRun& receiver);
+  // The producer's output is gone (its node died before the push landed):
+  // drops the inbox and the compute future with it; the producer's re-run
+  // re-notifies and submits a fresh one.
+  void DropInbox(TaskRun& receiver);
 
   // --- coded shuffle (docs/CODED.md) ---
   // Effective replication degree: redundancy_r clamped to the DC count.

@@ -1,30 +1,4 @@
 // Run configuration: scheme selection and engine knobs.
-//
-// Layout note (migration): failure and speculation knobs used to live flat
-// on RunConfig (`reduce_failure_prob`, `failure_point`, `speculation`,
-// `speculation_quantile`, `speculation_multiplier`). They are now grouped
-// into the nested FaultConfig / SpeculationConfig structs below —
-// `cfg.fault.reduce_failure_prob`, `cfg.speculation.enabled`, ... — and
-// FaultConfig additionally carries the FaultPlan of scheduled
-// infrastructure faults (see engine/fault_plan.h and docs/FAULTS.md).
-//
-// Observability followed the same move: tracing used to be switched on
-// through the GeoCluster::EnableTracing() side channel and read back via
-// cluster.trace()/last_job_metrics(). It is now configured up front on the
-// nested ObservabilityConfig — `cfg.observe.trace = true`,
-// `cfg.observe.metrics`, `cfg.observe.utilization_bucket` — and the
-// recorded data comes back on the RunResult every action returns
-// (result.trace, result.report; see engine/cluster.h and
-// docs/OBSERVABILITY.md). The EnableTracing()/last_job_metrics() shims
-// that briefly survived that move have since been removed.
-//
-// Transport knobs moved the same way: the push-retry knobs
-// (`fault.max_push_retries`, `fault.push_retry_backoff`,
-// `fault.push_backoff_factor`) now live on the nested TransportConfig —
-// `cfg.transport.max_push_retries`, ... — next to the shuffle-transport
-// selection and per-backend settings they belong with
-// (engine/transport/transport.h, docs/TRANSPORTS.md). No shims were left
-// behind.
 #pragma once
 
 #include <cstdint>

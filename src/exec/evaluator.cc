@@ -7,31 +7,57 @@
 namespace gs {
 namespace {
 
+// Records produced at one level of the chain: owned, or a read-only view
+// of a boundary chunk that needs no processing. A narrow function reads the
+// view in place, so a map over a source partition or a pushed inbox never
+// copies its input; only a caller that needs ownership copies.
+struct Produced {
+  std::vector<Record> owned;
+  RecordsPtr view;
+
+  const std::vector<Record>& get() const {
+    return view != nullptr ? *view : owned;
+  }
+  std::vector<Record> Take() {
+    return view != nullptr ? *view : std::move(owned);
+  }
+};
+
+std::vector<Record> Concat(const std::vector<RecordsPtr>& chunks) {
+  std::size_t n = 0;
+  for (const RecordsPtr& c : chunks) n += c->size();
+  std::vector<Record> out;
+  out.reserve(n);
+  for (const RecordsPtr& c : chunks) {
+    out.insert(out.end(), c->begin(), c->end());
+  }
+  return out;
+}
+
 // Recursively evaluates `rdd` partition `p`, bottoming out at `start`.
 // Exactly one recursion path reaches `start` (map chains are linear and a
-// union resolves to one parent), so the boundary records are moved out —
-// Evaluate owns `start` — instead of copied; for wide partitions that copy
-// used to dominate the task's compute.
-std::vector<Record> Eval(const Rdd& rdd, int p, EvalStart& start,
-                         EvalResult& result) {
+// union resolves to one parent).
+Produced Eval(const Rdd& rdd, int p, const EvalStart& start,
+              EvalResult& result) {
   if (&rdd == start.rdd) {
     GS_CHECK_MSG(p == start.partition, "boundary partition mismatch: " << p
                                            << " vs " << start.partition);
     if (rdd.kind() == RddKind::kShuffled && !start.already_processed) {
-      // `start.records` are raw gathered shard records; apply the reduce
-      // side's combine/group/sort.
-      return static_cast<const ShuffledRdd&>(rdd).ProcessShard(
-          std::move(start.records));
+      // The chunks are raw gathered shard records; apply the reduce side's
+      // combine/group/sort to their concatenation.
+      return Produced{static_cast<const ShuffledRdd&>(rdd).ProcessShard(
+                          Concat(start.chunks)),
+                      nullptr};
     }
-    return std::move(start.records);
+    if (start.chunks.size() == 1) return Produced{{}, start.chunks.front()};
+    return Produced{Concat(start.chunks), nullptr};
   }
 
-  std::vector<Record> out;
+  Produced out;
   switch (rdd.kind()) {
     case RddKind::kMapPartitions: {
       const auto& m = static_cast<const MapPartitionsRdd&>(rdd);
-      std::vector<Record> in = Eval(*m.parent(), p, start, result);
-      out = m.fn()(p, in);
+      out.owned = m.fn()(p, Eval(*m.parent(), p, start, result).get());
       break;
     }
     case RddKind::kUnion: {
@@ -50,8 +76,8 @@ std::vector<Record> Eval(const Rdd& rdd, int p, EvalStart& start,
   }
 
   if (rdd.cached()) {
-    result.cache_fills.push_back(
-        EvalResult::CacheFill{rdd.id(), p, MakeRecords(out)});
+    result.cache_fills.push_back(EvalResult::CacheFill{
+        rdd.id(), p, out.view != nullptr ? out.view : MakeRecords(out.owned)});
   }
   return out;
 }
@@ -61,10 +87,9 @@ std::vector<Record> Eval(const Rdd& rdd, int p, EvalStart& start,
 EvalResult Evaluate(const Rdd& output, int partition, EvalStart start) {
   GS_CHECK(start.rdd != nullptr);
   EvalResult result;
-  const bool start_is_cache_hit = start.already_processed;
-  result.records = Eval(output, partition, start, result);
+  result.records = Eval(output, partition, start, result).Take();
   // The boundary itself may be cached (e.g. a cached ShuffledRdd).
-  if (&output == start.rdd && output.cached() && !start_is_cache_hit) {
+  if (&output == start.rdd && output.cached() && !start.already_processed) {
     result.cache_fills.push_back(EvalResult::CacheFill{
         output.id(), partition, MakeRecords(result.records)});
   }

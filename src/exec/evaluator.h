@@ -3,7 +3,8 @@
 // Given the records at the stage's boundary leaf (input block, gathered
 // shuffle shard, or received transfer), Evaluate() walks the narrow chain
 // up to the stage's output RDD and returns the computed records, noting any
-// cache interactions along the way.
+// cache interactions along the way. The boundary records arrive as shared
+// immutable chunks; Evaluate copies them only where it needs ownership.
 #pragma once
 
 #include <optional>
@@ -29,19 +30,25 @@ struct EvalResult {
 
 // The point where evaluation starts: either the stage's boundary leaf or a
 // cached cut above it (if `cache_cut` names an RDD whose partition was found
-// in the block manager, evaluation starts there with `boundary_records`).
+// in the block manager, evaluation starts there with its cached records).
 struct EvalStart {
   const Rdd* rdd = nullptr;  // leaf or cached RDD where records originate
   int partition = -1;
-  std::vector<Record> records;
+  // The boundary records: shared immutable chunks in gather order (map
+  // order for a shuffle shard), logically concatenated. Whoever gathers
+  // them only moves pointers; the chunks stay readable even if their
+  // blocks are dropped meanwhile.
+  std::vector<RecordsPtr> chunks;
   // True when records came from a cache hit: they are the rdd's final
   // output, so no shard processing or re-caching applies at this node.
   bool already_processed = false;
 };
 
 // Evaluates partition `partition` of `output`, starting from `start`.
-// For a ShuffledRdd leaf, `start.records` are the raw gathered shard
-// records; ProcessShard (combine/group/sort) is applied here.
+// For a ShuffledRdd leaf, `start.chunks` are the raw gathered shard
+// records; they are concatenated and ProcessShard (combine/group/sort) is
+// applied here. A single chunk under a MapPartitionsRdd is read in place;
+// an output that is the boundary itself gets a concatenated copy.
 EvalResult Evaluate(const Rdd& output, int partition, EvalStart start);
 
 // Finds the evaluation cut for a task: walks from `output` down towards the

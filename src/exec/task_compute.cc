@@ -32,7 +32,9 @@ SplitScratch& Scratch() {
 TaskComputeResult ComputeTask(TaskComputeSpec spec) {
   GS_CHECK(spec.output_rdd != nullptr);
   TaskComputeResult out;
-  out.in_records = spec.start.records.size();
+  for (const RecordsPtr& chunk : spec.start.chunks) {
+    out.in_records += chunk->size();
+  }
 
   EvalResult eval =
       Evaluate(*spec.output_rdd, spec.partition, std::move(spec.start));

@@ -4,15 +4,16 @@
 // chain evaluation, map-side combine, shuffle-write partitioning, and
 // serialized/compressed size accounting — into one side-effect-free
 // function of its inputs. The simulator's event loop submits it to the
-// compute ThreadPool when a task's gather starts and joins the future at
-// the simulated gather-done event, so wall-clock compute of concurrent
-// tasks overlaps while simulated time, event order, and every derived
-// number stay identical to inline execution (see docs/PERF.md).
+// compute ThreadPool when a task's gather starts (a receiver's, when its
+// inbox is pushed) and joins the future at the simulated gather-done event
+// (a receiver's, when its write phase starts), so wall-clock compute of
+// concurrent tasks overlaps while simulated time, event order, and every
+// derived number stay identical to inline execution (see docs/PERF.md).
 //
-// Purity contract: a compute job reads only its spec (records moved in,
-// plus const pointers into the immutable Rdd graph / stage structures) and
-// writes only its result. It never touches the simulator, the RNG, block
-// storage, or metrics — those stay event-loop-only.
+// Purity contract: a compute job reads only its spec (shared immutable
+// record chunks, plus const pointers into the immutable Rdd graph / stage
+// structures) and writes only its result. It never touches the simulator,
+// the RNG, block storage, or metrics — those stay event-loop-only.
 #pragma once
 
 #include <cstddef>
@@ -29,11 +30,11 @@ namespace gs {
 
 // Inputs of one task's compute, captured at submit time. All pointers
 // reference structures that outlive the job (the Rdd graph and StageRun
-// fields); the record payload is owned.
+// fields); the record chunks are shared and never written.
 struct TaskComputeSpec {
   const Rdd* output_rdd = nullptr;
   int partition = -1;
-  EvalStart start;  // boundary records, moved in
+  EvalStart start;  // boundary records, as shared chunks
   // Effective map-side combine: null when the stage has none or the run
   // disables it. (Receiver stages always combine when the stage asks —
   // RunConfig::disable_map_side_combine does not apply to them.)
@@ -51,7 +52,7 @@ struct TaskComputeResult {
   std::vector<Record> records;
   std::vector<EvalResult::CacheFill> cache_fills;
 
-  std::size_t in_records = 0;   // boundary records fed to Evaluate
+  std::size_t in_records = 0;   // boundary records, summed over chunks
   std::size_t out_records = 0;  // records after the (optional) combine
   Bytes out_bytes = 0;          // serialized size of the computed output
 

@@ -2,6 +2,8 @@
 // discusses caching aggregated datasets to avoid repeated WAN transfers).
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "engine/cluster.h"
 #include "engine/dataset.h"
 
@@ -47,7 +49,8 @@ TEST(CacheTest, CachedBlocksAppearAfterFirstAction) {
 TEST(CacheTest, SecondActionIsFasterAndCorrect) {
   GeoCluster cluster(Ec2SixRegionTopology(100), QuietConfig(Scheme::kSpark));
   Dataset data = cluster.Parallelize("data", SomeRecords(300), 2);
-  int evaluations = 0;
+  // Atomic: the two partitions' map tasks run concurrently in the pool.
+  std::atomic<int> evaluations{0};
   Dataset expensive =
       data.MapPartitions("count-evals",
                          [&evaluations](int, const std::vector<Record>& in) {
@@ -56,10 +59,10 @@ TEST(CacheTest, SecondActionIsFasterAndCorrect) {
                          })
           .Cache();
   auto first = expensive.Collect();
-  const int evals_after_first = evaluations;
+  const int evals_after_first = evaluations.load();
   auto second = expensive.Collect();
   EXPECT_EQ(first, second);
-  EXPECT_EQ(evaluations, evals_after_first)
+  EXPECT_EQ(evaluations.load(), evals_after_first)
       << "cached partitions must not be recomputed";
 }
 

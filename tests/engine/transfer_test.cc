@@ -1,8 +1,14 @@
 // Semantics of transferTo() — the paper's contribution (Sec. IV).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+
 #include "engine/cluster.h"
 #include "engine/dataset.h"
+#include "storage/block.h"
 #include "storage/map_output_tracker.h"
 
 namespace gs {
@@ -174,6 +180,59 @@ TEST(TransferToTest, TransferThenCollectWorks) {
   RunResult run = data.TransferTo(5).Run(ActionKind::kCollect);
   EXPECT_EQ(run.records.size(), 100u);
   EXPECT_GT(run.metrics.cross_dc_push_bytes, 0);
+}
+
+// Receivers compute off the event loop: each receiver's compute is
+// submitted when its producer notifies and joined only when its write
+// phase starts, so receivers whose producers notify before the first push
+// lands run concurrently in the pool. Ten producers outside the target
+// datacenter finish together and push over the WAN; the probe blocks
+// (bounded) until a second receiver compute is in flight. If receivers
+// were joined one at a time on the loop, the peak would stay at one.
+TEST(TransferToTest, ReceiverComputesOverlapOffTheEventLoop) {
+  constexpr DcIndex kTarget = 0;
+  RunConfig cfg = BaseConfig(Scheme::kSpark);
+  cfg.compute_threads = 4;
+  GeoCluster cluster(Ec2SixRegionTopology(100), cfg);
+  const Topology& topo = cluster.topology();
+  std::vector<NodeIndex> producers;
+  for (NodeIndex n = 0; n < topo.num_nodes(); ++n) {
+    if (topo.node(n).worker && topo.dc_of(n) != kTarget) producers.push_back(n);
+  }
+  std::vector<SourceRdd::Partition> parts;
+  for (int p = 0; p < 10; ++p) {
+    SourceRdd::Partition part;
+    part.records = MakeRecords(SomeRecords(50));
+    part.node = producers[static_cast<std::size_t>(p) % producers.size()];
+    part.bytes = SerializedSize(*part.records);
+    parts.push_back(std::move(part));
+  }
+
+  struct Probe {
+    std::mutex mu;
+    std::condition_variable cv;
+    int in_flight = 0;
+    int peak = 0;
+  } probe;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  auto count_in_flight = [&probe, deadline](int,
+                                            const std::vector<Record>& in) {
+    std::unique_lock<std::mutex> lock(probe.mu);
+    probe.peak = std::max(probe.peak, ++probe.in_flight);
+    probe.cv.notify_all();
+    probe.cv.wait_until(lock, deadline, [&probe] { return probe.peak >= 2; });
+    --probe.in_flight;
+    return in;
+  };
+  RunResult run = cluster.CreateSource("spread", std::move(parts))
+                      .TransferTo(kTarget)
+                      .MapPartitions("count-in-flight", count_in_flight)
+                      .Run(ActionKind::kCollect);
+  EXPECT_EQ(run.records.size(), 500u);
+  EXPECT_GE(probe.peak, 2)
+      << "receiver computes ran one at a time: the loop joins each one "
+         "synchronously";
 }
 
 }  // namespace

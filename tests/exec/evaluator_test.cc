@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "exec/task_compute.h"
 
 namespace gs {
 namespace {
@@ -36,7 +37,7 @@ TEST(EvaluatorTest, EvaluatesNarrowChainFromSource) {
   EvalStart start;
   start.rdd = src.get();
   start.partition = 1;
-  start.records = {{"k1", std::int64_t{10}}};
+  start.chunks = {MakeRecords({{"k1", std::int64_t{10}}})};
   EvalResult result = Evaluate(*m2, 1, std::move(start));
   ASSERT_EQ(result.records.size(), 1u);
   EXPECT_EQ(std::get<std::int64_t>(result.records[0].value), 12);
@@ -54,7 +55,7 @@ TEST(EvaluatorTest, PartitionIndexIsVisibleToFn) {
   EvalStart start;
   start.rdd = src.get();
   start.partition = 2;
-  start.records = {{"x", std::int64_t{0}}};
+  start.chunks = {MakeRecords({{"x", std::int64_t{0}}})};
   EvalResult result = Evaluate(*tagger, 2, std::move(start));
   EXPECT_EQ(result.records[0].key, "p2");
 }
@@ -69,29 +70,33 @@ TEST(EvaluatorTest, ShuffledBoundaryAppliesProcessShard) {
   EvalStart start;
   start.rdd = s.get();
   start.partition = 0;
-  start.records = {{"a", std::int64_t{1}}, {"a", std::int64_t{2}}};
+  start.chunks = {
+      MakeRecords({{"a", std::int64_t{1}}, {"a", std::int64_t{2}}})};
   EvalResult result = Evaluate(*s, 0, std::move(start));
   ASSERT_EQ(result.records.size(), 1u);
   EXPECT_EQ(std::get<std::int64_t>(result.records[0].value), 3);
 }
 
+// A cache hit is the cached rdd's final output: the chunk comes back as
+// it is — not re-combined, not re-sorted, not re-cached.
 TEST(EvaluatorTest, CacheHitSkipsProcessShard) {
   ShuffleInfo info;
   info.id = 0;
   info.partitioner = std::make_shared<HashPartitioner>(2);
   info.reduce_combine = SumInt64();
+  info.sort_by_key = true;
   auto s = std::make_shared<ShuffledRdd>(1, "s", Source(0), info);
   s->set_cached(true);
+  const RecordsPtr chunk = MakeRecords(
+      {{"b", std::int64_t{1}}, {"a", std::int64_t{2}}, {"a", std::int64_t{3}}});
 
   EvalStart start;
   start.rdd = s.get();
   start.partition = 0;
-  start.records = {{"a", std::int64_t{3}}};  // already combined
+  start.chunks = {chunk};
   start.already_processed = true;
   EvalResult result = Evaluate(*s, 0, std::move(start));
-  ASSERT_EQ(result.records.size(), 1u);
-  EXPECT_EQ(std::get<std::int64_t>(result.records[0].value), 3);
-  // A cache hit must not re-cache.
+  EXPECT_EQ(result.records, *chunk);
   EXPECT_TRUE(result.cache_fills.empty());
 }
 
@@ -104,7 +109,7 @@ TEST(EvaluatorTest, CachedIntermediateProducesCacheFill) {
   EvalStart start;
   start.rdd = src.get();
   start.partition = 0;
-  start.records = {{"k0", std::int64_t{0}}};
+  start.chunks = {MakeRecords({{"k0", std::int64_t{0}}})};
   EvalResult result = Evaluate(*m2, 0, std::move(start));
   ASSERT_EQ(result.cache_fills.size(), 1u);
   EXPECT_EQ(result.cache_fills[0].rdd, 1);
@@ -123,7 +128,7 @@ TEST(EvaluatorTest, UnionRoutesToCorrectParent) {
   EvalStart start;
   start.rdd = b.get();
   start.partition = 1;
-  start.records = {{"k1", std::int64_t{100}}};
+  start.chunks = {MakeRecords({{"k1", std::int64_t{100}}})};
   EvalResult result = Evaluate(*m, 3, std::move(start));
   EXPECT_EQ(std::get<std::int64_t>(result.records[0].value), 101);
 }
@@ -134,7 +139,7 @@ TEST(EvaluatorTest, WrongBoundaryThrows) {
   EvalStart start;
   start.rdd = m.get();  // claiming the map is the boundary
   start.partition = 0;
-  start.records = {};
+  start.chunks = {};
   // Evaluating the map itself from "its own" records is fine...
   EXPECT_NO_THROW(Evaluate(*m, 0, start));
   // ...but evaluating from a *different* boundary that is never reached
@@ -142,8 +147,98 @@ TEST(EvaluatorTest, WrongBoundaryThrows) {
   EvalStart bad;
   bad.rdd = src.get();
   bad.partition = 1;  // task partition 0 resolves to source partition 0
-  bad.records = {};
+  bad.chunks = {};
   EXPECT_THROW(Evaluate(*m, 0, std::move(bad)), CheckFailure);
+}
+
+ShuffleInfo SortInfo() {
+  ShuffleInfo info;
+  info.id = 0;
+  info.partitioner = std::make_shared<HashPartitioner>(2);
+  info.sort_by_key = true;
+  return info;
+}
+
+std::vector<std::string> KeysAndValues(const std::vector<Record>& records) {
+  std::vector<std::string> out;
+  for (const Record& r : records) out.push_back(ToString(r));
+  return out;
+}
+
+// A shuffle shard arrives as one chunk per map output, in map order. The
+// chunks are concatenated in that order before ProcessShard, so the stable
+// sort keeps equal keys in chunk order.
+TEST(EvaluatorTest, MultiChunkShuffledBoundaryIsConcatenatedInChunkOrder) {
+  auto s = std::make_shared<ShuffledRdd>(1, "s", Source(0), SortInfo());
+  const RecordsPtr c0 =
+      MakeRecords({{"b", std::int64_t{0}}, {"a", std::int64_t{0}}});
+  const RecordsPtr c1 =
+      MakeRecords({{"a", std::int64_t{1}}, {"b", std::int64_t{1}}});
+  const RecordsPtr c2 = MakeRecords({{"a", std::int64_t{2}}});
+
+  EvalStart start;
+  start.rdd = s.get();
+  start.partition = 0;
+  start.chunks = {c0, c1, c2};
+  std::vector<Record> forward = Evaluate(*s, 0, start).records;
+  EXPECT_EQ(KeysAndValues(forward),
+            (std::vector<std::string>{"(a -> 0)", "(a -> 1)", "(a -> 2)",
+                                      "(b -> 0)", "(b -> 1)"}));
+
+  start.chunks = {c2, c1, c0};
+  std::vector<Record> reversed = Evaluate(*s, 0, start).records;
+  EXPECT_EQ(KeysAndValues(reversed),
+            (std::vector<std::string>{"(a -> 2)", "(a -> 1)", "(a -> 0)",
+                                      "(b -> 1)", "(b -> 0)"}));
+  // The chunks themselves are never written.
+  EXPECT_EQ(KeysAndValues(*c0),
+            (std::vector<std::string>{"(b -> 0)", "(a -> 0)"}));
+}
+
+// A single boundary chunk under a narrow function is handed to it in
+// place: the function sees the chunk's own vector, not a copy.
+TEST(EvaluatorTest, SingleSourceChunkUnderMapIsReadInPlace) {
+  RddPtr src = Source(0);
+  const std::vector<Record>* seen = nullptr;
+  auto m = std::make_shared<MapPartitionsRdd>(
+      1, "m", src, [&seen](int, const std::vector<Record>& in) {
+        seen = &in;
+        return in;
+      });
+  const RecordsPtr chunk = MakeRecords({{"k0", std::int64_t{7}}});
+
+  EvalStart start;
+  start.rdd = src.get();
+  start.partition = 0;
+  start.chunks = {chunk};
+  EvalResult result = Evaluate(*m, 0, std::move(start));
+  EXPECT_EQ(seen, chunk.get());
+  EXPECT_EQ(result.records, *chunk);
+}
+
+TEST(EvaluatorTest, ComputeTaskCountsRecordsAcrossChunks) {
+  ShuffleInfo info;
+  info.id = 0;
+  info.partitioner = std::make_shared<HashPartitioner>(2);
+  info.reduce_combine = SumInt64();
+  auto s = std::make_shared<ShuffledRdd>(1, "s", Source(0), info);
+
+  TaskComputeSpec spec;
+  spec.output_rdd = s.get();
+  spec.partition = 0;
+  spec.start.rdd = s.get();
+  spec.start.partition = 0;
+  spec.start.chunks = {
+      MakeRecords({{"a", std::int64_t{1}}, {"b", std::int64_t{1}}}),
+      MakeRecords({}),
+      MakeRecords({{"a", std::int64_t{1}},
+                   {"b", std::int64_t{1}},
+                   {"a", std::int64_t{1}}})};
+  TaskComputeResult out = ComputeTask(std::move(spec));
+  EXPECT_EQ(out.in_records, 5u);
+  EXPECT_EQ(out.out_records, 2u);
+  EXPECT_EQ(KeysAndValues(out.records),
+            (std::vector<std::string>{"(a -> 3)", "(b -> 2)"}));
 }
 
 TEST(FindEvalCutTest, FindsLeafWithoutCaches) {
