@@ -1,8 +1,11 @@
 // simcheck engine-level runner: executes one configuration under all three
 // schemes and two compute-pool sizes, plus a bit-identical rerun, and
-// checks the invariant catalog (see simcheck.h and docs/TESTING.md).
+// checks the invariant catalog (see simcheck.h and docs/TESTING.md). The
+// runs are independent engine instances, so they execute concurrently on a
+// hardware-wide pool and are consumed in a fixed order (docs/PERF.md §11).
 #include <algorithm>
 #include <exception>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/threadpool.h"
 #include "data/combiner.h"
 #include "data/record.h"
 #include "engine/cluster.h"
@@ -203,8 +207,9 @@ std::string FirstDifference(const std::vector<std::string>& a,
   return os.str();
 }
 
-SchemeRun RunOne(const SimcheckConfig& cfg, Scheme scheme, int threads,
-                 const FaultPlan& plan) {
+SchemeRun RunOne(const SimcheckConfig& cfg,
+                 const std::vector<Record>& input_records, Scheme scheme,
+                 int threads, const FaultPlan& plan) {
   SchemeRun out;
   out.faulty = !plan.empty();
   try {
@@ -235,7 +240,7 @@ SchemeRun RunOne(const SimcheckConfig& cfg, Scheme scheme, int threads,
       rc.cost.straggler_prob = 0;
     }
     GeoCluster cluster(std::move(topo), rc);
-    Dataset input = cluster.Parallelize("simcheck-input", BuildRecords(cfg),
+    Dataset input = cluster.Parallelize("simcheck-input", input_records,
                                         cfg.partitions_per_dc);
 
     // Structural contract of Parallelize: partitions_per_dc partitions in
@@ -423,12 +428,16 @@ CheckResult RunEngineCheck(const SimcheckConfig& cfg) {
   CheckResult result;
   if (!ValidateConfig(cfg, &result)) return result;
 
+  // Every run (and the oracle) reads the same input; build it once.
+  const std::vector<Record> input_records = BuildRecords(cfg);
+
   // Resolve the fault plan: fractions of the fault-free Spark JCT become
   // absolute simulated times via a probe run.
   FaultPlan plan;
   const bool wants_faults = cfg.crash || cfg.degrade || cfg.block_loss;
   if (wants_faults) {
-    SchemeRun probe = RunOne(cfg, Scheme::kSpark, 1, FaultPlan{});
+    SchemeRun probe =
+        RunOne(cfg, input_records, Scheme::kSpark, 1, FaultPlan{});
     ++result.engine_runs;
     if (probe.failed) {
       Add(&result, kInvRunFailure, "fault-free probe threw: " + probe.error);
@@ -463,10 +472,32 @@ CheckResult RunEngineCheck(const SimcheckConfig& cfg) {
 
   const Scheme schemes[] = {Scheme::kSpark, Scheme::kCentralized,
                             Scheme::kAggShuffle};
+  const int rerun_idx = static_cast<int>(cfg.seed % 3);  // rotated by seed
+
+  // The remaining runs depend only on the plan, so they go to the pool as
+  // one wave: per scheme threads=1 then threads_high, then the rerun. The
+  // checks below consume them in that order, so violations come out as a
+  // sequential loop would produce them. A threads_high or rerun result
+  // whose threads=1 partner threw is never consumed or counted; the pool
+  // joins it on destruction, before input_records and plan go away.
+  ThreadPool pool(ThreadPool::HardwareConcurrency());
+  auto job = [&](Scheme scheme, int threads) {
+    return [&cfg, &input_records, &plan, scheme, threads] {
+      return RunOne(cfg, input_records, scheme, threads, plan);
+    };
+  };
+  std::vector<decltype(job(Scheme::kSpark, 1))> jobs;
+  for (Scheme scheme : schemes) {
+    jobs.push_back(job(scheme, 1));
+    jobs.push_back(job(scheme, cfg.threads_high));
+  }
+  jobs.push_back(job(schemes[rerun_idx], 1));
+  std::vector<std::future<SchemeRun>> runs = pool.SubmitBatch(std::move(jobs));
+
   SchemeRun low[3];
   bool low_ok[3] = {false, false, false};
   for (int s = 0; s < 3; ++s) {
-    low[s] = RunOne(cfg, schemes[s], 1, plan);
+    low[s] = runs[static_cast<std::size_t>(2 * s)].get();
     ++result.engine_runs;
     if (low[s].failed) {
       Add(&result, kInvRunFailure,
@@ -475,7 +506,7 @@ CheckResult RunEngineCheck(const SimcheckConfig& cfg) {
     }
     low_ok[s] = true;
 
-    SchemeRun high = RunOne(cfg, schemes[s], cfg.threads_high, plan);
+    SchemeRun high = runs[static_cast<std::size_t>(2 * s + 1)].get();
     ++result.engine_runs;
     if (high.failed) {
       Add(&result, kInvRunFailure,
@@ -548,10 +579,9 @@ CheckResult RunEngineCheck(const SimcheckConfig& cfg) {
     }
   }
 
-  // Bit-identical rerun of one scheme (rotated by seed).
-  const int rerun_idx = static_cast<int>(cfg.seed % 3);
+  // Bit-identical rerun of one scheme.
   if (low_ok[rerun_idx]) {
-    SchemeRun rerun = RunOne(cfg, schemes[rerun_idx], 1, plan);
+    SchemeRun rerun = runs.back().get();
     ++result.engine_runs;
     if (rerun.failed) {
       Add(&result, kInvRunFailure,
@@ -586,7 +616,7 @@ CheckResult RunEngineCheck(const SimcheckConfig& cfg) {
     }
     if (low_ok[0]) {
       std::vector<std::string> expected =
-          CanonicalMultiset(OracleRecords(cfg, BuildRecords(cfg)));
+          CanonicalMultiset(OracleRecords(cfg, input_records));
       if (canon[0] != expected) {
         Add(&result, kInvOracle,
             "Spark output vs reference evaluation: " +

@@ -137,7 +137,10 @@ struct Violation {
 
 struct CheckResult {
   std::vector<Violation> violations;
-  int engine_runs = 0;   // engine-level cluster runs executed
+  // Engine-level cluster runs whose results the check consumed. A
+  // threads_high run or rerun whose threads=1 partner threw still executes
+  // (the runs are concurrent) but is discarded and not counted.
+  int engine_runs = 0;
   int netsim_flows = 0;  // flows started by the netsim-level script
   bool ok() const { return violations.empty(); }
 };
@@ -163,7 +166,11 @@ CheckResult RunNetsimCheck(const SimcheckConfig& cfg);
 
 // Runs the engine-level differential check: all three schemes at
 // --threads=1 and --threads=threads_high, plus a rerun, under the config's
-// fault plan; checks the full invariant catalog.
+// fault plan; checks the full invariant catalog. The input records are
+// built once. The fault-free probe (when there is a fault plan) runs first
+// on the caller; the other seven runs execute concurrently on a pool as
+// wide as the hardware and are consumed in a fixed order, so the result is
+// identical to running them one after another.
 CheckResult RunEngineCheck(const SimcheckConfig& cfg);
 
 // Both levels; the union of their violations.

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -283,6 +284,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const auto sweep_start = std::chrono::steady_clock::now();
   int engine_runs = 0;
   long netsim_flows = 0;
   for (int i = 0; i < opts.iters; ++i) {
@@ -297,9 +299,16 @@ int main(int argc, char** argv) {
       std::cout << (i + 1) << "/" << opts.iters << " configurations clean\n";
     }
   }
+  const double seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - sweep_start)
+                            .count();
+  std::ostringstream cost;
+  cost << std::fixed << std::setprecision(2) << seconds << " s, "
+       << std::setprecision(1) << opts.iters / seconds << " configs/s";
   std::cout << opts.iters << " configurations (seeds " << opts.seed << ".."
             << (opts.seed + static_cast<std::uint64_t>(opts.iters) - 1)
             << "): all invariants held (" << engine_runs
-            << " engine runs, " << netsim_flows << " netsim flows)\n";
+            << " engine runs, " << netsim_flows << " netsim flows) in "
+            << cost.str() << "\n";
   return 0;
 }
