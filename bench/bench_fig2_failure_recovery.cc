@@ -43,7 +43,6 @@ int main() {
       cfg.cost.straggler_sigma = 0;
       cfg.cost.straggler_prob = 0;
       cfg.fault.reduce_failure_prob = failing ? 1.0 : 0.0;
-      cfg.fault.failure_point = 0.5;
       GeoCluster cluster(MakeTopology(h), cfg);
       auto wl = MakeWorkload("Sort", params);
       RunResult r = wl->Run(cluster, /*data_seed=*/99);

@@ -5,15 +5,9 @@
 // per task — evaluate, combine, single-pass shuffle partitioning, shard
 // sort, size accounting — on Table-I-sized batches, plus the map-phase
 // pipeline through the compute ThreadPool at 1/2/4/8 threads and TeraSort
-// input generation (Workload::Build) on a 1/2/4-thread compute pool.
-//
-// Two references are included for before/after comparison:
-//  * "legacy:*" rows re-implement the pre-optimization algorithms
-//    (std::hash-based combine map, two-pass partition split with
-//    unreserved push_back growth and a second full size walk) so the
-//    single-thread hot-path gain is measured, not asserted;
-//  * the threads sweep shows how task compute scales with pool width
-//    (on a single-core host all widths collapse to ~1x, by design).
+// input generation (Workload::Build) on a 1/2/4-thread compute pool. The
+// threads sweep shows how task compute scales with pool width (on a
+// single-core host all widths collapse to ~1x, by design).
 //
 // Output: a human-readable table on stdout and, when GS_BENCH_JSON names
 // a path, the raw measurements as JSON (run_benches.sh writes
@@ -26,7 +20,6 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.h"
@@ -103,45 +96,6 @@ TaskComputeResult RunMapCompute(const Rdd& source, int partition,
   return ComputeTask(std::move(spec));
 }
 
-// Pre-optimization reference: per-key std::hash map combine (the shape of
-// the old CombineByKey), kept only for the before/after measurement.
-std::vector<Record> LegacyCombine(const std::vector<Record>& records,
-                                  const CombineFn& fn) {
-  std::vector<Record> out;
-  std::unordered_map<std::string, std::size_t> index;
-  index.reserve(records.size());
-  for (const Record& r : records) {
-    auto [it, inserted] = index.emplace(r.key, out.size());
-    if (inserted) {
-      out.push_back(r);
-    } else {
-      Record& existing = out[it->second];
-      existing.value = fn(existing.value, r.value);
-    }
-  }
-  return out;
-}
-
-// Pre-optimization reference, step for step what the old engine did per
-// map task: Evaluate (which copied the boundary records), a full
-// SerializedSize walk for the cpu-time sizing, an unreserved push_back
-// split, then CompressedSize per shard (each re-walking its records for
-// the serialized size).
-std::pair<std::vector<std::vector<Record>>, Bytes> LegacyPartition(
-    std::vector<Record> batch, const Partitioner& part) {
-  std::vector<Record> records = batch;  // Evaluate's return copy
-  const Bytes out_bytes = SerializedSize(records);
-  std::vector<std::vector<Record>> shards(
-      static_cast<std::size_t>(part.num_shards()));
-  for (Record& r : records) {
-    shards[static_cast<std::size_t>(part.ShardOf(r.key))].push_back(
-        std::move(r));
-  }
-  Bytes total = 0;
-  for (const auto& shard : shards) total += CompressedSize(shard);
-  return {std::move(shards), total + (out_bytes ? 0 : 1)};
-}
-
 SourceRdd::Partition MakePartition(RecordsPtr records) {
   SourceRdd::Partition p;
   p.records = records;
@@ -214,9 +168,8 @@ int main() {
     return elapsed;
   };
 
-  // Inputs are shared chunks built before the timed region. Both rows
-  // copy the chunk once inside it: ComputeTask because the output is the
-  // boundary, the legacy row to own its input.
+  // Inputs are shared chunks built before the timed region. ComputeTask
+  // copies the chunk once inside it, because the output is the boundary.
   std::vector<RecordsPtr> inputs;
   inputs.reserve(tera_batches.size());
   for (const std::vector<Record>& batch : tera_batches) {
@@ -227,17 +180,8 @@ int main() {
         source, i, inputs[static_cast<std::size_t>(i)], info, nullptr);
     if (r.shard_total_bytes == 0) std::abort();
   });
-  measure("legacy:partition", kMaps, [&](int i) {
-    auto [shards, total] = LegacyPartition(
-        *inputs[static_cast<std::size_t>(i)], *info.partitioner);
-    if (total == 0) std::abort();
-  });
   measure("combine", 8, [&](int) {
     std::vector<Record> out = CombineByKey(word_batch, sum);
-    if (out.empty()) std::abort();
-  });
-  measure("legacy:combine", 8, [&](int) {
-    std::vector<Record> out = LegacyCombine(word_batch, sum);
     if (out.empty()) std::abort();
   });
   measure("sort", 8, [&](int) {
@@ -260,25 +204,14 @@ int main() {
   });
 
   // --- submit throughput ------------------------------------------------
-  // Pure pool overhead on trivial jobs: per-job Submit, one-wave
-  // SubmitBatch, and the pre-optimization submission shape (a
-  // packaged_task behind a shared_ptr, wrapped copyably) for reference.
+  // Pure pool overhead on trivial jobs: per-job Submit and one-wave
+  // SubmitBatch.
   {
     constexpr int kJobs = 100'000;
     ThreadPool pool(1);
     std::atomic<std::int64_t> sink{0};
     measure("submit", kJobs,
             [&](int) { pool.Submit([&sink] { sink.fetch_add(1); }); });
-    pool.WaitIdle();
-    measure("legacy:submit", kJobs, [&](int) {
-      // One shared_ptr control block + one packaged_task allocation per
-      // job, like the old Submit; the promise-based path has neither.
-      auto task = std::make_shared<std::packaged_task<void()>>(
-          [&sink] { sink.fetch_add(1); });
-      std::future<void> f = task->get_future();
-      pool.Submit([task] { (*task)(); });
-      static_cast<void>(f);
-    });
     pool.WaitIdle();
     {
       const double start = WallSeconds();
@@ -292,7 +225,7 @@ int main() {
                                    WallSeconds() - start});
     }
     pool.WaitIdle();
-    if (sink.load() != 3 * kJobs) std::abort();
+    if (sink.load() != 2 * kJobs) std::abort();
   }
 
   // --- map-phase pipeline at 1/2/4/8 threads ----------------------------
@@ -386,13 +319,7 @@ int main() {
     }
     return 0;
   };
-  std::cout << "\nhot-path speedup vs legacy (single thread): partition "
-            << FmtDouble(find("legacy:partition", 1) /
-                            std::max(1e-9, find("partition", 1)), 2)
-            << "x, combine "
-            << FmtDouble(find("legacy:combine", 1) /
-                            std::max(1e-9, find("combine", 1)), 2)
-            << "x\npipeline speedup vs 1 thread: 2t "
+  std::cout << "\npipeline speedup vs 1 thread: 2t "
             << FmtDouble(find("map-pipeline", 1) /
                             std::max(1e-9, find("map-pipeline", 2)), 2)
             << "x, 4t "

@@ -59,19 +59,10 @@ void ValidateConfig(const RunConfig& cfg, const Topology& topo) {
                  "observe.egress_usd_per_gib must be finite and >= 0");
   }
 
-  // Adaptive knobs are validated whether or not adaptivity is enabled: a
-  // config carrying a NaN threshold is malformed even if this run never
+  // pin_dc is validated whether or not adaptivity is enabled: a config
+  // carrying an out-of-range datacenter is malformed even if this run never
   // reads it (the same rule the transport knobs above follow).
   const AdaptiveConfig& a = cfg.adaptive;
-  GS_CHECK_MSG(FiniteNonNegative(a.bandwidth_window),
-               "adaptive.bandwidth_window must be finite and >= 0");
-  GS_CHECK_MSG(std::isfinite(a.degrade_threshold) &&
-                   a.degrade_threshold >= 0 && a.degrade_threshold <= 1,
-               "adaptive.degrade_threshold must be in [0, 1]");
-  GS_CHECK_MSG(std::isfinite(a.hysteresis) && a.hysteresis >= 1,
-               "adaptive.hysteresis must be finite and >= 1");
-  GS_CHECK_MSG(FiniteNonNegative(a.min_replan_interval),
-               "adaptive.min_replan_interval must be finite and >= 0");
   GS_CHECK_MSG(a.pin_dc == kNoDc ||
                    (a.pin_dc >= 0 && a.pin_dc < topo.num_datacenters()),
                "adaptive.pin_dc out of range");
@@ -153,7 +144,6 @@ GeoCluster::GeoCluster(Topology topo, RunConfig config)
                                                      ThreadPool::Width::kExact)
                       : std::make_unique<ThreadPool>(
                             ThreadPool::HardwareConcurrency());
-  network_->SetSolverPool(compute_pool_.get());
   // The driver is the first non-worker node; if all nodes are workers,
   // node 0 doubles as the driver.
   driver_node_ = 0;

@@ -24,6 +24,27 @@ constexpr SimTime kLocalHandoff = Millis(1);
 // Fraction of a transfer producer's compute after which its push departs
 // (intra-task pipelining, Sec. IV-B).
 constexpr double kEarlyPushFraction = 0.3;
+// Fraction of a failing reduce task's compute after which the injected
+// failure strikes (the paper's Fig. 2 experiment).
+constexpr double kFailurePoint = 0.5;
+
+// Speculative execution (spark.speculation): once this fraction of a
+// stage's tasks finished, a running task slower than kSpeculationMultiplier
+// x the median duration gets a backup copy.
+constexpr double kSpeculationQuantile = 0.75;
+constexpr double kSpeculationMultiplier = 1.5;
+
+// Adaptive replanning (docs/ADAPTIVE.md). A receiver shard only moves when
+// the best alternative datacenter's estimated aggregation time beats the
+// current one by at least kReplanHysteresis, which damps oscillation
+// between near-equal datacenters. A push path counts as degraded, and its
+// shard falls back to fetch, when the link's estimated bandwidth drops
+// below kDegradeThreshold of its base rate. Replanner passes of one stage
+// are at least kMinReplanInterval apart; degradation events inside the
+// window are absorbed by the next pass.
+constexpr double kReplanHysteresis = 1.5;
+constexpr double kDegradeThreshold = 0.1;
+constexpr SimTime kMinReplanInterval = Seconds(1);
 
 }  // namespace
 
@@ -655,7 +676,7 @@ void JobRunner::OnGatherDone(TaskRun& task) {
   const bool may_fail = IsReducerStage(sr) && task.attempt == 0 &&
                         config_.fault.reduce_failure_prob > 0;
   if (may_fail && rng_.Bernoulli(config_.fault.reduce_failure_prob)) {
-    sim_.Schedule(cpu * config_.fault.failure_point, [this, t, epoch] {
+    sim_.Schedule(cpu * kFailurePoint, [this, t, epoch] {
       if (t->epoch != epoch) return;
       OnTaskFailed(*t);
     });
@@ -836,13 +857,13 @@ void JobRunner::MaybeSpeculate(StageRun& sr) {
     return;
   }
   const int total = static_cast<int>(sr.tasks.size());
-  if (sr.tasks_done < config_.speculation.quantile * total) return;
+  if (sr.tasks_done < kSpeculationQuantile * total) return;
 
   std::vector<double> durations = sr.completed_durations;
   std::sort(durations.begin(), durations.end());
   const double median = durations[durations.size() / 2];
   const double threshold =
-      std::max(config_.speculation.multiplier * median, Millis(100));
+      std::max(kSpeculationMultiplier * median, Millis(100));
 
   for (auto& task : sr.tasks) {
     if (task->done || !task->assigned || task->has_backup ||
@@ -1202,7 +1223,7 @@ void JobRunner::ReplanReceivers() {
     StageRun& consumer = *srp;
     if (!consumer.stage.starts_at_transfer || consumer.standalone) continue;
     if (!consumer.submitted || consumer.done || consumer.skipped) continue;
-    // Rate limit: at most one pass per min_replan_interval of *strictly
+    // Rate limit: at most one pass per kMinReplanInterval of *strictly
     // later* time. Several degradation events landing at the same instant
     // (a fault plan collapsing a whole ingress at once) each re-run the
     // pass, so the last one sees every link already degraded. An event
@@ -1210,19 +1231,18 @@ void JobRunner::ReplanReceivers() {
     // being dropped — the documented "absorbed by the next pass".
     const SimTime elapsed =
         consumer.last_replan < 0 ? -1 : now - consumer.last_replan;
-    if (elapsed > 0 && elapsed < config_.adaptive.min_replan_interval) {
+    if (elapsed > 0 && elapsed < kMinReplanInterval) {
       if (!consumer.replan_pending) {
         consumer.replan_pending = true;
         const StageId sid = consumer.stage.id;
-        sim_.ScheduleAt(
-            consumer.last_replan + config_.adaptive.min_replan_interval,
-            [this, sid] {
-              StageRun& sr = stage_run(sid);
-              sr.replan_pending = false;
-              if (job_done_ || sr.done || sr.skipped) return;
-              sr.last_replan = sim_.Now();
-              if (ReplanStage(sr)) ++metrics_.replans;
-            });
+        sim_.ScheduleAt(consumer.last_replan + kMinReplanInterval,
+                        [this, sid] {
+                          StageRun& sr = stage_run(sid);
+                          sr.replan_pending = false;
+                          if (job_done_ || sr.done || sr.skipped) return;
+                          sr.last_replan = sim_.Now();
+                          if (ReplanStage(sr)) ++metrics_.replans;
+                        });
       }
       continue;
     }
@@ -1236,7 +1256,6 @@ bool JobRunner::ReplanStage(StageRun& consumer) {
   if (producer_sr.stage.consumer_transfer->target_dc() != kNoDc) {
     return false;  // the application pinned this transfer's destination
   }
-  const AdaptiveConfig& ac = config_.adaptive;
   const std::vector<Bytes> per_dc = StageInputPerDc(producer_sr);
   AggregatorPlacementPolicy::Context ctx = PolicyContext();
   std::vector<DcIndex> ranking = policy_->Rank(ctx, per_dc);
@@ -1245,16 +1264,16 @@ bool JobRunner::ReplanStage(StageRun& consumer) {
   ranking.resize(k);
 
   // Hysteresis on the primary choice: abandon the current subset only when
-  // the policy scores the new best at least `hysteresis` times cheaper —
-  // an estimate barely better than the incumbent is noise, and moving on
-  // it would thrash placements on every jitter wobble. The static policy
+  // the policy scores the new best at least kReplanHysteresis times
+  // cheaper — an estimate barely better than the incumbent is noise, and
+  // moving on it would thrash placements on every jitter wobble. The static policy
   // scores every datacenter 0, so it can never trigger a move.
   bool retargeted = false;
   if (ranking != consumer.aggregator_dcs) {
     const double cur =
         policy_->Score(ctx, per_dc, consumer.aggregator_dcs.front());
     const double alt = policy_->Score(ctx, per_dc, ranking.front());
-    if (alt * ac.hysteresis < cur) {
+    if (alt * kReplanHysteresis < cur) {
       GS_LOG_INFO << "replan: stage " << consumer.stage.id << " aggregator "
                   << topo_.datacenter(consumer.aggregator_dcs.front()).name
                   << " -> " << topo_.datacenter(ranking.front()).name
@@ -1295,7 +1314,7 @@ bool JobRunner::ReplanStage(StageRun& consumer) {
 
     // Per-shard push->fetch fallback: when the push path into the chosen
     // datacenter has measurably collapsed — effective bandwidth below
-    // degrade_threshold of the link's base rate — keep the shard on its
+    // kDegradeThreshold of the link's base rate — keep the shard on its
     // producer (a co-located no-op write) and let downstream reducers
     // fetch it. The mid-job analogue of RecoverReceiver's terminal
     // fallback, triggered by measurement instead of exhausted retries.
@@ -1306,8 +1325,8 @@ bool JobRunner::ReplanStage(StageRun& consumer) {
       const int link = topo_.wan_link_index(src_dc, dst_dc);
       if (link >= 0 &&
           cluster_.network().EstimateWanBandwidth(
-              src_dc, dst_dc, ac.bandwidth_window) <
-              ac.degrade_threshold * topo_.wan_link(link).base_rate) {
+              src_dc, dst_dc, kBandwidthEstimateWindow) <
+              kDegradeThreshold * topo_.wan_link(link).base_rate) {
         target = r.producer_node;
         r.push_fallback = true;
         ++fallbacks;
@@ -1663,9 +1682,6 @@ void JobRunner::StartCodedExchange(StageId id) {
   const int num_shards = tracker.num_shards(sid);
   const int num_dcs = topo_.num_datacenters();
   const int r = CodedR();
-  const int max_group = config_.coded.max_group > 0
-                            ? std::min(config_.coded.max_group, num_dcs)
-                            : r;
 
   sr.coded_pending = 1;  // guard, released once every transfer is launched
 
@@ -1828,7 +1844,7 @@ void JobRunner::StartCodedExchange(StageId id) {
     }
   }
 
-  // XOR groups (Coded MapReduce): up to max_group segments with pairwise
+  // XOR groups (Coded MapReduce): up to r segments with pairwise
   // distinct home datacenters, replicated together in some serving
   // datacenter, where each receiver already holds every other member — so
   // one multicast of the shortest member's length serves the whole group
@@ -1840,7 +1856,7 @@ void JobRunner::StartCodedExchange(StageId id) {
     if (used[i]) continue;
     std::vector<std::size_t> group = {i};
     for (std::size_t j = i + 1;
-         j < wan.size() && static_cast<int>(group.size()) < max_group; ++j) {
+         j < wan.size() && static_cast<int>(group.size()) < r; ++j) {
       if (used[j]) continue;
       bool ok = true;
       for (std::size_t g : group) {
@@ -2011,8 +2027,7 @@ std::vector<DcIndex> JobRunner::ChooseAggregatorDcs(const StageRun& producer_sr)
 }
 
 void JobRunner::CentralizeInputsThenStart() {
-  DcIndex central = config_.central_dc;
-  if (central == kNoDc) central = cluster_.ChooseCentralDc(final_rdd_);
+  const DcIndex central = cluster_.ChooseCentralDc(final_rdd_);
 
   // Collect every source RDD reachable from the final RDD.
   std::vector<const SourceRdd*> sources;

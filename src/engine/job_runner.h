@@ -138,8 +138,8 @@ class JobRunner {
     std::vector<DcIndex> aggregator_dcs;
     int rr_next = 0;  // round-robin cursor for receiver placement
     // Last time the adaptive replanner reconsidered this stage's placement
-    // (-1 = never); rate-limits replanning to AdaptiveConfig::
-    // min_replan_interval so a bursty jitter trace cannot thrash. A WAN
+    // (-1 = never); rate-limits replanning to one pass per
+    // kMinReplanInterval so a bursty jitter trace cannot thrash. A WAN
     // change inside the window sets replan_pending and a catch-up pass
     // runs when the window expires, so absorbed events are not lost.
     SimTime last_replan = -1;
@@ -276,7 +276,7 @@ class JobRunner {
   // not-yet-started receiver shards off datacenters the policy now ranks
   // worse (hysteresis-guarded) and degrades individual shards push->fetch
   // when their push path's measured bandwidth fell below
-  // degrade_threshold x base rate.
+  // kDegradeThreshold x base rate.
   void ReplanReceivers();
   // One consumer stage's replanning pass; returns true if anything moved.
   bool ReplanStage(StageRun& consumer);

@@ -80,7 +80,6 @@ class BandwidthAwareAggregatorPolicy : public AggregatorPlacementPolicy {
   double Score(const Context& ctx, const std::vector<Bytes>& input_per_dc,
                DcIndex dc) const override {
     GS_CHECK(ctx.net != nullptr && ctx.topo != nullptr);
-    const SimTime window = ctx.config->adaptive.bandwidth_window;
     double seconds = 0;
     for (DcIndex src = 0;
          src < static_cast<DcIndex>(input_per_dc.size()); ++src) {
@@ -89,7 +88,8 @@ class BandwidthAwareAggregatorPolicy : public AggregatorPlacementPolicy {
       if (ctx.topo->wan_link_index(src, dc) < 0) {
         return std::numeric_limits<double>::infinity();  // unreachable
       }
-      const Rate bw = ctx.net->EstimateWanBandwidth(src, dc, window);
+      const Rate bw =
+          ctx.net->EstimateWanBandwidth(src, dc, kBandwidthEstimateWindow);
       if (bw <= 0) return std::numeric_limits<double>::infinity();
       seconds += static_cast<double>(bytes) / bw;
     }

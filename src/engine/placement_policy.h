@@ -37,6 +37,12 @@ namespace gs {
 
 class Network;
 
+// Trailing window of the per-link bandwidth estimate
+// (Network::EstimateWanBandwidth) read by the bandwidth-aware policy and
+// by the replanner's push->fetch fallback: utilization buckets older than
+// this are exponentially discounted.
+constexpr SimTime kBandwidthEstimateWindow = Seconds(10);
+
 class AggregatorPlacementPolicy {
  public:
   // Everything a backend may consult. `net` carries the bandwidth

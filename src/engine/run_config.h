@@ -31,11 +31,9 @@ const char* AggregatorPolicyName(AggregatorPolicy policy);
 // Fault injection knobs (the recovery response to a lost push lives on
 // TransportConfig).
 struct FaultConfig {
-  // Probability that a reduce task fails on its first attempt, and the
-  // fraction of its compute phase after which the failure strikes
-  // (the paper's Fig. 2 experiment).
+  // Probability that a reduce task fails on its first attempt, halfway
+  // through its compute phase (the paper's Fig. 2 experiment).
   double reduce_failure_prob = 0.0;
-  double failure_point = 0.5;
 
   // Scheduled/random infrastructure faults (node crashes, WAN link flaps,
   // block losses). Empty by default.
@@ -114,29 +112,11 @@ struct TransportConfig {
 // When enabled, aggregator datacenters are ranked by *effective measured
 // bandwidth* (netsim's decayed utilization estimate) instead of input
 // volume alone, and WAN degradation events re-run the policy mid-job for
-// receiver shards that have not started.
+// receiver shards that have not started. The estimate window, hysteresis,
+// degradation threshold and replan spacing are constants
+// (docs/ADAPTIVE.md §4).
 struct AdaptiveConfig {
   bool enabled = false;
-
-  // Trailing window of the per-link bandwidth estimate: utilization
-  // buckets older than this are (exponentially) discounted. <= 0 falls
-  // back to the instantaneous link capacity (no measured component).
-  SimTime bandwidth_window = Seconds(10);
-
-  // A link counts as degraded — triggering the per-shard push->fetch
-  // fallback — when its estimated bandwidth drops below this fraction of
-  // its base rate. In [0, 1]; 0 never falls back.
-  double degrade_threshold = 0.1;
-
-  // Hysteresis of the replanner: a receiver shard only moves when the
-  // best alternative datacenter's estimated aggregation time beats the
-  // current one by at least this factor (>= 1; 1 = move on any
-  // improvement). Damps oscillation between near-equal datacenters.
-  double hysteresis = 1.5;
-
-  // Minimum spacing between replanner passes of one job; degradation
-  // events inside the window are absorbed by the next pass.
-  SimTime min_replan_interval = Seconds(1);
 
   // Forces every automatic transferTo into this datacenter and disables
   // replanning — the "offline oracle" backend used by bench_adaptive to
@@ -151,7 +131,7 @@ struct AdaptiveConfig {
 // partition executes in `redundancy_r` datacenters instead of one. The
 // replication overlap then lets the shuffle serve most shard segments from
 // a replica inside the consuming datacenter (zero WAN bytes) and deliver
-// XOR-coded groups of the rest as single multicast packets
+// XOR-coded groups of up to r of the rest as single multicast packets
 // (netsim::StartMulticastFlow, FlowKind::kCodedMulticast), with residual
 // uncoded segments falling back to plain unicast fetches. The WAN volume
 // drops from ~(K-1)/K of the shuffle to ~(K-r)/K on K datacenters; the
@@ -165,24 +145,16 @@ struct CodedConfig {
   // number of datacenters (r = 1 degenerates to no replication and no
   // coding gain, but stays a valid configuration).
   int redundancy_r = 2;
-
-  // Maximum shard segments XOR-ed into one coded packet; the effective
-  // group size is additionally capped by the decodability condition
-  // (every receiver must already hold the other r-1 segments). <= 0 means
-  // redundancy_r.
-  int max_group = 0;
 };
 
 // Speculative execution (spark.speculation, off by default as in Spark):
-// once `quantile` of a stage's tasks finished, a running task slower than
-// `multiplier` x the median duration gets a backup copy; the first attempt
-// to finish wins. Interacts with the shuffle mechanism: a speculated
+// once 75% of a stage's tasks finished, a running task slower than 1.5x
+// the median duration gets a backup copy; the first attempt to finish
+// wins. Interacts with the shuffle mechanism: a speculated
 // *reducer* re-fetches its input — over the WAN under fetch-based shuffle,
 // locally under Push/Aggregate.
 struct SpeculationConfig {
   bool enabled = false;
-  double quantile = 0.75;
-  double multiplier = 1.5;
 };
 
 // Multi-job service knobs (engine/job_api.h, docs/SERVICE.md).
@@ -246,10 +218,6 @@ struct RunConfig {
   SpeculationConfig speculation;
   ServiceConfig service;
   ObservabilityConfig observe;
-
-  // Centralized: destination datacenter; kNoDc = the one already holding
-  // the most input bytes.
-  DcIndex central_dc = kNoDc;
 
   // Reducer placement preference threshold: a node is preferred for a
   // reduce task if it stores at least this fraction of the shard's input

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/log.h"
-#include "common/threadpool.h"
 
 namespace gs {
 namespace {
@@ -132,7 +131,6 @@ Network::Network(Simulator& sim, const Topology& topo, NetworkConfig config,
     m_solver_flows_ = &metrics->counter("netsim.solver_flows");
     m_reschedules_ = &metrics->counter("netsim.flow_reschedules");
     m_starvation_guards_ = &metrics->counter("netsim.starvation_guards");
-    m_parallel_solves_ = &metrics->counter("netsim.parallel_solves");
     m_active_flows_ = &metrics->gauge("netsim.active_flows");
     // 1 KiB .. 4 GiB in x4 steps; shuffle blocks land mid-range.
     const std::vector<double> bounds = ExponentialBounds(1024, 4, 12);
@@ -759,9 +757,7 @@ void Network::SolveComponent(int c, SolveScratch& s) {
   s.starvation_guards = 0;
 
   // Stream the component's flows into a struct-of-arrays view, compacting
-  // stale entries (finished/cancelled flows) in place. Slab fields read
-  // here are written only between solve waves, so concurrent component
-  // solves read them safely.
+  // stale entries (finished/cancelled flows) in place.
   std::size_t kept = 0;
   for (const CompEntry e : comp.entries) {
     const Flow* f = EntryFlow(e);
@@ -785,9 +781,8 @@ void Network::SolveComponent(int c, SolveScratch& s) {
   s.new_rate.assign(static_cast<std::size_t>(n), 0.0);
   if (n == 0) return;
 
-  // Per-resource tallies live in arrays indexed by resource id; distinct
-  // components own disjoint resources, so concurrent solves never write
-  // the same element.
+  // Per-resource tallies live in arrays indexed by resource id; only this
+  // component's resources are reset and read.
   for (const std::int32_t r : comp.resources) {
     rem_cap_[r] = capacity_[r];
     res_count_[r] = 0;
@@ -884,62 +879,14 @@ void Network::SolveComponent(int c, SolveScratch& s) {
 }
 
 void Network::SolveAndApply(SimTime now) {
-  const std::size_t n = dirty_comps_.size();
-  while (scratch_.size() < n) {
-    scratch_.push_back(std::make_unique<SolveScratch>());
-  }
-
-  struct SolveJob {
-    Network* net;
-    int comp;
-    SolveScratch* scratch;
-    void operator()() const { net->SolveComponent(comp, *scratch); }
-  };
-  const bool pool_on = pool_ != nullptr && config_.parallel_solver && n >= 2 &&
-                       (config_.force_parallel_solver ||
-                        pool_->num_threads() > 1);
-  std::vector<SolveJob> jobs;
-  std::vector<std::size_t> offloaded;  // indices into dirty_comps_
-  if (pool_on) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const Component& comp =
-          comps_[static_cast<std::size_t>(dirty_comps_[i])];
-      if (config_.force_parallel_solver ||
-          comp.entries.size() >=
-              static_cast<std::size_t>(config_.parallel_min_component_flows)) {
-        jobs.push_back(SolveJob{this, dirty_comps_[i], scratch_[i].get()});
-        offloaded.push_back(i);
-      }
-    }
-  }
-  if (offloaded.size() >= 2) {
-    // Components are independent (disjoint flows and resources; solves
-    // write only their scratch and their own per-resource array entries),
-    // so the wave runs concurrently; small components run inline on the
-    // event thread while the pool churns through the large ones.
-    if (m_parallel_solves_ != nullptr) m_parallel_solves_->Add(1);
-    auto futures = pool_->SubmitBatch(std::move(jobs));
-    std::size_t next_offloaded = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (next_offloaded < offloaded.size() &&
-          offloaded[next_offloaded] == i) {
-        ++next_offloaded;
-        continue;
-      }
-      SolveComponent(dirty_comps_[i], *scratch_[i]);
-    }
-    for (auto& fut : futures) fut.get();
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      SolveComponent(dirty_comps_[i], *scratch_[i]);
-    }
-  }
-
-  // Apply results in dirty-collection order — fixed by event history, not
-  // by which thread solved what — so completion events are (re)created in
-  // a deterministic sequence and FIFO tie-breaking is reproducible.
-  for (std::size_t i = 0; i < n; ++i) {
-    SolveScratch& s = *scratch_[i];
+  // Solve and apply one component at a time, in dirty-collection order —
+  // fixed by event history — so completion events are (re)created in a
+  // deterministic sequence and FIFO tie-breaking is reproducible.
+  // Components share no flow or resource, so applying one cannot change
+  // the inputs of the next one's solve.
+  SolveScratch& s = scratch_;
+  for (const int c : dirty_comps_) {
+    SolveComponent(c, s);
     const std::size_t m = s.slots.size();
     if (m_solver_flows_ != nullptr) {
       m_solver_flows_->Add(static_cast<std::int64_t>(m));

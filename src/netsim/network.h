@@ -22,9 +22,8 @@
 //
 // Components are maintained persistently (union on flow arrival, counted
 // rebuild on departure) instead of being rediscovered by BFS at every
-// solve, flows live in an index-addressed slab instead of a hash map, and
-// independent component solves can be dispatched across a ThreadPool and
-// merged back in a deterministic order (docs/PERF.md §7).
+// solve, and flows live in an index-addressed slab instead of a hash map
+// (docs/PERF.md §7).
 #pragma once
 
 #include <cstdint>
@@ -44,8 +43,6 @@
 #include "simcore/simulator.h"
 
 namespace gs {
-
-class ThreadPool;
 
 // Accounting category for a flow, used by the traffic meters.
 enum class FlowKind {
@@ -82,20 +79,6 @@ struct NetworkConfig {
   double wan_stall_prob = 0.06;
   SimTime wan_stall_min = Seconds(2);
   SimTime wan_stall_max = Seconds(10);
-
-  // Parallel per-component rate solves (docs/PERF.md §7). When a solver
-  // pool is attached (SetSolverPool) and an instant dirties two or more
-  // components, component solves of at least parallel_min_component_flows
-  // flows are dispatched across the pool; smaller ones run inline on the
-  // event thread meanwhile. Results are merged in a fixed
-  // (dirty-collection) order, so reports are byte-identical to the
-  // sequential path for any thread count.
-  bool parallel_solver = true;
-  int parallel_min_component_flows = 128;
-  // Dispatch through the pool even when it has a single worker and
-  // regardless of component size (tests: exercise the parallel path and
-  // its determinism on any host).
-  bool force_parallel_solver = false;
 };
 
 // Point-to-point transfer statistics per datacenter pair and flow kind.
@@ -152,12 +135,6 @@ class Network {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
-
-  // Attaches the pool used for parallel component solves (nullptr
-  // detaches). The pool must outlive the network; solves submitted to it
-  // are pure (scratch-only) jobs, so any pool shared with the data plane
-  // works. See NetworkConfig::parallel_solver.
-  void SetSolverPool(ThreadPool* pool) { pool_ = pool; }
 
   // Starts a flow of `bytes` from node src to node dst. `on_complete` fires
   // (through the simulator) once the last byte arrives. A flow between a
@@ -277,9 +254,8 @@ class Network {
 
  private:
   struct Flow {
-    // Fields the component solver streams (read-only off the event thread
-    // during a parallel solve wave) lead the struct so one flow's solver
-    // inputs share a cache line.
+    // Fields the component solver streams lead the struct so one flow's
+    // solver inputs share a cache line.
     bool started = false;  // connection setup finished; contends for rate
     std::uint8_t nres = 0;
     std::int32_t res[3] = {-1, -1, -1};  // indices into capacity_
@@ -326,11 +302,9 @@ class Network {
     bool free = true;
   };
 
-  // Reusable per-component solver scratch. A parallel wave gives each
-  // dirty component its own scratch; the shared per-resource arrays
-  // (rem_cap_, res_count_, res_row_) are indexed by resource, and distinct
-  // components own disjoint resources, so concurrent solves never touch
-  // the same element.
+  // Solver scratch, reused by every component solve. Each dirty component
+  // is solved and its rates applied before the next one is solved, so one
+  // buffer serves them all.
   struct SolveScratch {
     std::vector<std::int32_t> slots;     // solve index -> slab slot
     std::vector<Rate> old_rate;
@@ -395,11 +369,11 @@ class Network {
   void ScheduleDeferredReconfigure();
 
   // Progressive filling over one dirty component, writing rates into the
-  // scratch only — no simulator or flow mutation, so solves of distinct
-  // components run concurrently. Compacts the component's entry list.
+  // scratch only — no simulator or flow mutation. Compacts the component's
+  // entry list.
   void SolveComponent(int c, SolveScratch& s);
-  // Solves every component in dirty_comps_ (through the pool when
-  // profitable) and applies the results in collection order.
+  // Solves each component in dirty_comps_ and applies its rates before
+  // solving the next, in collection order.
   void SolveAndApply(SimTime now);
   void FreezeOne(SolveScratch& s, int idx, Rate rate);
   void PushChangedShares(SolveScratch& s);
@@ -456,7 +430,6 @@ class Network {
   Rng jitter_rng_;
   TrafficMeter meter_;
   MetricsRegistry* metrics_ = nullptr;
-  ThreadPool* pool_ = nullptr;
 
   std::vector<Rate> capacity_;      // per resource, current (incl. degrade)
   std::vector<Rate> wan_current_;   // per WAN link, jittered capacity
@@ -490,13 +463,13 @@ class Network {
   // rate did not change: they need their completion event re-created.
   std::vector<FlowId> pending_resched_;
 
-  // Per-resource solver arrays, shared across concurrent component solves
-  // (disjoint resource sets; see SolveScratch).
+  // Per-resource solver arrays, indexed by resource id; a solve resets
+  // and reads only its own component's entries.
   std::vector<double> rem_cap_;
   std::vector<int> res_count_;              // unfrozen flows per resource
   std::vector<std::int32_t> res_row_;       // resource -> CSR row this solve
-  std::vector<int> dirty_comps_;            // this wave, collection order
-  std::vector<std::unique_ptr<SolveScratch>> scratch_;  // per dirty comp
+  std::vector<int> dirty_comps_;            // this solve, collection order
+  SolveScratch scratch_;
 
   std::unique_ptr<LinkUtilization> util_;
 
@@ -510,7 +483,6 @@ class Network {
   Counter* m_solver_flows_ = nullptr;
   Counter* m_reschedules_ = nullptr;
   Counter* m_starvation_guards_ = nullptr;
-  Counter* m_parallel_solves_ = nullptr;
   Gauge* m_active_flows_ = nullptr;
   Histogram* m_fetch_bytes_ = nullptr;
   Histogram* m_push_bytes_ = nullptr;

@@ -126,25 +126,6 @@ TEST_P(ComputeThreadsTest, OneAndEightThreadsAreByteIdentical) {
                   RunWith(BaseConfig(GetParam(), 8)));
 }
 
-TEST_P(ComputeThreadsTest, ParallelNetsimSolverIsByteIdentical) {
-  // Force every rate solve through the pool (regardless of component size
-  // or worker count): the merge-in-collection-order argument of
-  // docs/PERF.md §7 must hold byte-for-byte at 1 and at 8 workers.
-  RunConfig one = BaseConfig(GetParam(), 1);
-  one.net.force_parallel_solver = true;
-  RunConfig eight = BaseConfig(GetParam(), 8);
-  eight.net.force_parallel_solver = true;
-  const RunSnapshot a = RunWith(one);
-  const RunSnapshot b = RunWith(eight);
-  ExpectIdentical(a, b);
-  // The offload changes only which thread solves, never the rates: the
-  // records must match the plain sequential-solver run too. (Reports are
-  // compared above but not against `seq` — the netsim.parallel_solves
-  // counter legitimately differs.)
-  const RunSnapshot seq = RunWith(BaseConfig(GetParam(), 1));
-  EXPECT_EQ(a.records, seq.records);
-}
-
 // Sim-time 60% of the way through the kMaps-task map stage of a healthy
 // run: the crash lands while map compute jobs are in flight, so restarted
 // attempts orphan their predecessors' pool jobs.

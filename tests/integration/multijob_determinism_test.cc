@@ -19,15 +19,13 @@ namespace {
 
 constexpr double kScale = 2000;
 
-RunConfig BaseConfig(Scheme scheme, int compute_threads,
-                     bool force_parallel_solver = false) {
+RunConfig BaseConfig(Scheme scheme, int compute_threads) {
   RunConfig cfg;
   cfg.scheme = scheme;
   cfg.seed = 23;
   cfg.scale = kScale;
   cfg.cost = CostModel{}.Scaled(kScale);
   cfg.compute_threads = compute_threads;
-  cfg.net.force_parallel_solver = force_parallel_solver;
   // Stochastic knobs stay ON: determinism must come from the simulation's
   // own RNG, not from disabling randomness.
   return cfg;
@@ -46,11 +44,9 @@ Dataset Input(GeoCluster& cluster, const std::string& tag, int n, int keys) {
 
 // The full observable output of one multi-job scenario: each job's record
 // set and report plus the whole-service report, serialized.
-std::string RunScenario(Scheme scheme, int compute_threads,
-                        bool force_parallel_solver = false) {
-  GeoCluster cluster(
-      Ec2SixRegionTopology(kScale),
-      BaseConfig(scheme, compute_threads, force_parallel_solver));
+std::string RunScenario(Scheme scheme, int compute_threads) {
+  GeoCluster cluster(Ec2SixRegionTopology(kScale),
+                     BaseConfig(scheme, compute_threads));
   struct Spec {
     const char* tag;
     const char* tenant;
@@ -100,14 +96,6 @@ TEST_P(MultiJobDeterminismTest, RerunIsByteIdentical) {
 
 TEST_P(MultiJobDeterminismTest, OneAndEightThreadsAreByteIdentical) {
   EXPECT_EQ(RunScenario(GetParam(), 1), RunScenario(GetParam(), 8));
-}
-
-TEST_P(MultiJobDeterminismTest, ParallelNetsimSolverOneAndEightThreadsMatch) {
-  // Every rate solve forced through the solver pool, three interleaved
-  // jobs keeping several components dirty at once: the merged results must
-  // be byte-identical whether one worker or eight handled the solves.
-  EXPECT_EQ(RunScenario(GetParam(), 1, /*force_parallel_solver=*/true),
-            RunScenario(GetParam(), 8, /*force_parallel_solver=*/true));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, MultiJobDeterminismTest,

@@ -182,5 +182,55 @@ TEST(HotpathRegressionTest, DisjointComponentsDoNotPerturbEachOther) {
   EXPECT_EQ(solo, churned);
 }
 
+// Same-instant completions across components fire in the order their
+// components were solved: a batched solve re-rates its dirty components in
+// dirty-collection order (the order their resources were first perturbed),
+// rescheduling each component's flows before moving to the next, and
+// equal deadlines fire FIFO. Flows started interleaved across two disjoint
+// components therefore complete grouped by component, not in start order.
+TEST(HotpathRegressionTest, SameInstantCompletionsFollowComponentOrder) {
+  // dc0->dc1 and dc2->dc3 share no resource. A flow of size 2S alone on a
+  // link and two flows of size S sharing one both finish at 2S / rate, an
+  // exact double, so every flow of a phase finishes at one instant.
+  Topology topo;
+  for (int d = 0; d < 4; ++d) {
+    topo.AddDatacenter("dc" + std::to_string(d));
+    topo.AddNode({"n" + std::to_string(d), d, 2, MiB(10)});
+  }
+  topo.AddWanLink({0, 1, MiB(1), MiB(1), MiB(1), Millis(100)});
+  topo.AddWanLink({2, 3, MiB(1), MiB(1), MiB(1), Millis(100)});
+  Simulator sim;
+  Network net(sim, topo, Quiet(), Rng(1));
+
+  std::vector<std::string> order;
+  std::vector<double> done_at;
+  auto start = [&](const char* label, NodeIndex src, Bytes bytes) {
+    net.StartFlow(src, src + 1, bytes, FlowKind::kOther, [&, label] {
+      order.push_back(label);
+      done_at.push_back(sim.Now());
+    });
+  };
+
+  // Phase 1: the dc2->dc3 component is perturbed first.
+  start("a1", 2, MiB(1));
+  start("b1", 0, MiB(2));
+  start("a2", 2, MiB(1));
+  sim.Run();
+  // Phase 2: the dc0->dc1 component is perturbed first.
+  start("b2", 0, MiB(1));
+  start("a3", 2, MiB(2));
+  start("b3", 0, MiB(1));
+  sim.Run();
+
+  const std::vector<std::string> expected = {"a1", "a2", "b1",
+                                             "b2", "b3", "a3"};
+  EXPECT_EQ(order, expected);
+  ASSERT_EQ(done_at.size(), 6u);
+  EXPECT_EQ(done_at[0], done_at[1]);
+  EXPECT_EQ(done_at[0], done_at[2]);
+  EXPECT_EQ(done_at[3], done_at[4]);
+  EXPECT_EQ(done_at[3], done_at[5]);
+}
+
 }  // namespace
 }  // namespace gs
