@@ -3,7 +3,7 @@
 //
 // The simulator's event loop stays single-threaded; the pool only runs
 // *pure* compute jobs (record transformation, partitioning, size
-// accounting, per-component rate solves) whose results the loop consumes
+// accounting, workload input generation) whose results the loop consumes
 // at fixed simulated events. Determinism therefore does not depend on
 // scheduling: jobs are side-effect-free functions of their captured
 // inputs, and the event loop blocks on a job's future exactly at the

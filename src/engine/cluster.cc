@@ -26,14 +26,6 @@ bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0; }
 // max-min solver and the cost report.
 void ValidateConfig(const RunConfig& cfg, const Topology& topo) {
   const TransportConfig& t = cfg.transport;
-  GS_CHECK_MSG(t.max_push_retries >= 0,
-               "transport.max_push_retries must be >= 0");
-  GS_CHECK_MSG(FiniteNonNegative(t.push_retry_backoff),
-               "transport.push_retry_backoff must be finite and >= 0");
-  GS_CHECK_MSG(std::isfinite(t.push_backoff_factor) &&
-                   t.push_backoff_factor > 0,
-               "transport.push_backoff_factor must be finite and > 0");
-
   const ObjectStoreConfig& os = t.object_store;
   GS_CHECK_MSG(os.dc == kNoDc ||
                    (os.dc >= 0 && os.dc < topo.num_datacenters()),
@@ -293,9 +285,7 @@ void GeoCluster::SetWanDegradation(DcIndex src, DcIndex dst, double factor,
 }
 
 RddPtr GeoCluster::MaybeRewrite(const RddPtr& final_rdd) {
-  if (config_.scheme != Scheme::kAggShuffle || !config_.auto_aggregation) {
-    return final_rdd;
-  }
+  if (config_.scheme != Scheme::kAggShuffle) return final_rdd;
   // A memo shared across actions keeps rewritten nodes (and thus cache
   // identities) stable from one job to the next.
   auto it = rewrite_memo_.find(final_rdd.get());

@@ -46,6 +46,20 @@ constexpr double kReplanHysteresis = 1.5;
 constexpr double kDegradeThreshold = 0.1;
 constexpr SimTime kMinReplanInterval = Seconds(1);
 
+// Spark's REDUCER_PREF_LOCS_FRACTION: a node storing at least this fraction
+// of a shard's input is preferred for its reduce task.
+constexpr double kReducerPrefFraction = 0.2;
+
+// Transfer-push recovery: when a receiver's node dies, the push is retried
+// against a fresh node in the aggregator datacenter after an exponential
+// backoff (kPushRetryBackoff * kPushBackoffFactor^(attempt-1)). Once
+// kMaxPushRetries is exhausted the transfer degrades to the producer's own
+// node — a co-located no-op — and downstream reducers fall back to fetching
+// that partition over the WAN (push -> fetch fallback).
+constexpr int kMaxPushRetries = 4;
+constexpr SimTime kPushRetryBackoff = Seconds(1);
+constexpr double kPushBackoffFactor = 2.0;
+
 }  // namespace
 
 JobRunner::JobRunner(GeoCluster& cluster, RddPtr final_rdd, ActionKind action,
@@ -201,7 +215,7 @@ bool JobRunner::StageIsReady(const StageRun& sr) const {
   if (sr.submitted || sr.done) return false;
   // Receiver stages are co-submitted with their producer, not by
   // readiness — unless cache coverage made them standalone.
-  if (sr.stage.starts_at_transfer && !sr.standalone) return false;
+  if (sr.is_receiver()) return false;
   for (StageId parent : sr.stage.barrier_parents) {
     if (!stage_runs_[parent]->done) return false;
   }
@@ -236,12 +250,12 @@ void JobRunner::SubmitStage(StageId id) {
   // next (explicit transferTo -> map -> automatic transferTo) keeps its
   // own receiver datacenter and assigns the new target to its consumer.
   std::vector<DcIndex> transfer_targets;
-  if (sr.stage.output == StageOutputKind::kTransferProduce &&
-      sr.stage.transfer_consumer >= 0) {
+  if (sr.is_transfer_producer()) {
     if (sr.stage.consumer_transfer->target_dc() != kNoDc) {
       transfer_targets = {sr.stage.consumer_transfer->target_dc()};
     } else {
-      transfer_targets = ChooseAggregatorDcs(sr);
+      const std::vector<Bytes> per_dc = StageInputPerDc(sr);
+      transfer_targets = ChooseAggregatorDcs(PolicyContext(), per_dc);
     }
     std::string target_names;
     for (DcIndex dc : transfer_targets) {
@@ -283,7 +297,7 @@ void JobRunner::SubmitStage(StageId id) {
 
 void JobRunner::LaunchTasks(StageId id) {
   StageRun& sr = stage_run(id);
-  if (sr.stage.starts_at_transfer && !sr.standalone) {
+  if (sr.is_receiver()) {
     // Receiver tasks are submitted to the scheduler one-by-one as their
     // producer task is assigned (their preferences depend on the producer's
     // node: co-located partitions make the receiver a no-op, Sec. IV-C2).
@@ -339,6 +353,12 @@ void JobRunner::OnStageDone(StageId id) {
 // Task lifecycle
 // ---------------------------------------------------------------------------
 
+auto JobRunner::Guarded(TaskRun& task, void (JobRunner::*fn)(TaskRun&)) {
+  return [this, t = &task, epoch = task.epoch, fn] {
+    if (t->epoch == epoch) (this->*fn)(*t);
+  };
+}
+
 std::vector<NodeIndex> JobRunner::PreferredNodes(const StageRun& sr,
                                                  int partition) {
   EvalCut cut = FindEvalCut(*sr.stage.output_rdd, partition,
@@ -356,7 +376,7 @@ std::vector<NodeIndex> JobRunner::PreferredNodes(const StageRun& sr,
       const auto& s = static_cast<const ShuffledRdd&>(*cut.rdd);
       std::vector<NodeIndex> prefs =
           cluster_.tracker().PreferredShardLocations(
-              s.shuffle().id, cut.partition, config_.reducer_pref_fraction);
+              s.shuffle().id, cut.partition, kReducerPrefFraction);
       if (config_.coded.enabled) {
         AppendCodedAlternates(s.shuffle().id, cut.partition, &prefs);
       }
@@ -371,7 +391,7 @@ void JobRunner::SubmitTask(TaskRun& task) {
   StageRun& sr = stage_run(task.stage);
   TaskRequest request;
   request.id = static_cast<TaskId>(task.stage) * 100000 + task.partition;
-  if (sr.stage.starts_at_transfer && !sr.standalone) {
+  if (sr.is_receiver()) {
     // Receiver write phase: the pushed data already landed on task.node.
     GS_CHECK(task.node != kNoNode);
     request.preferred = {task.node};
@@ -430,22 +450,15 @@ void JobRunner::OnAssigned(TaskRun& task, NodeIndex node) {
   // A transfer producer's assignment fixes the pairing for its receiver:
   // decide the receiver's destination node now, so the push can start the
   // instant the producer finishes.
-  if (sr.stage.output == StageOutputKind::kTransferProduce &&
-      sr.stage.transfer_consumer >= 0) {
-    PlaceReceiver(sr, task);
-  }
+  if (sr.is_transfer_producer()) PlaceReceiver(sr, task);
 
-  if (sr.stage.starts_at_transfer && !sr.standalone) {
+  if (sr.is_receiver()) {
     // Receiver write phase: the slot was requested after the data landed.
     ExecuteReceiver(task);
     return;
   }
-  TaskRun* task_ptr = &task;
-  const int epoch = task.epoch;
-  sim_.Schedule(config_.cost.task_launch_overhead, [this, task_ptr, epoch] {
-    if (task_ptr->epoch != epoch) return;
-    StartGather(*task_ptr);
-  });
+  sim_.Schedule(config_.cost.task_launch_overhead,
+                Guarded(task, &JobRunner::StartGather));
 }
 
 void JobRunner::StartGather(TaskRun& task) {
@@ -461,15 +474,11 @@ void JobRunner::StartGather(TaskRun& task) {
   task.fetch_failed_sid = -1;
   task.fetch_failed_maps.clear();
   task.pending_gathers = 1;  // released at the end of this function
-  TaskRun* t = &task;
-  const int epoch = task.epoch;
 
   auto add_disk_read = [&](Bytes bytes) {
     ++task.pending_gathers;
-    cluster_.disk().Read(task.node, bytes, [this, t, epoch] {
-      if (t->epoch != epoch) return;
-      GatherArrived(*t);
-    });
+    cluster_.disk().Read(task.node, bytes,
+                         Guarded(task, &JobRunner::GatherArrived));
   };
   auto add_flow = [&](NodeIndex from, Bytes bytes, FlowKind kind) {
     ++task.pending_gathers;
@@ -480,10 +489,7 @@ void JobRunner::StartGather(TaskRun& task) {
     transfer.dst = task.node;
     transfer.bytes = bytes;
     transfer.kind = kind;
-    transfer.on_landed = [this, t, epoch] {
-      if (t->epoch != epoch) return;
-      GatherArrived(*t);
-    };
+    transfer.on_landed = Guarded(task, &JobRunner::GatherArrived);
     cluster_.transport().Transfer(std::move(transfer));
   };
 
@@ -586,23 +592,29 @@ void JobRunner::StartGather(TaskRun& task) {
   GatherArrived(task);  // release the guard
 }
 
-void JobRunner::SubmitCompute(TaskRun& task) {
-  StageRun& sr = stage_run(task.stage);
+TaskComputeSpec JobRunner::ComputeSpec(const StageRun& sr, int partition,
+                                      bool combine) const {
   TaskComputeSpec spec;
   spec.output_rdd = sr.stage.output_rdd.get();
-  spec.partition = task.partition;
-  spec.start.rdd = task.cut_rdd;
-  spec.start.partition = task.cut_partition;
-  spec.start.chunks = std::move(task.gathered);
-  spec.start.already_processed = task.gather_is_processed;
-  task.gathered.clear();
-  if (sr.stage.pre_output_combine && !config_.disable_map_side_combine) {
+  spec.partition = partition;
+  if (combine && sr.stage.pre_output_combine) {
     spec.combine = &sr.stage.pre_output_combine;
   }
   spec.output = sr.stage.output;
   if (sr.stage.consumer_shuffle != nullptr) {
     spec.consumer_shuffle = &sr.stage.consumer_shuffle->shuffle();
   }
+  return spec;
+}
+
+void JobRunner::SubmitCompute(TaskRun& task) {
+  TaskComputeSpec spec = ComputeSpec(stage_run(task.stage), task.partition,
+                                     !config_.disable_map_side_combine);
+  spec.start.rdd = task.cut_rdd;
+  spec.start.partition = task.cut_partition;
+  spec.start.chunks = std::move(task.gathered);
+  spec.start.already_processed = task.gather_is_processed;
+  task.gathered.clear();
   std::packaged_task<TaskComputeResult()> job(
       [spec = std::move(spec)]() mutable {
         return ComputeTask(std::move(spec));
@@ -676,10 +688,8 @@ void JobRunner::OnGatherDone(TaskRun& task) {
   const bool may_fail = IsReducerStage(sr) && task.attempt == 0 &&
                         config_.fault.reduce_failure_prob > 0;
   if (may_fail && rng_.Bernoulli(config_.fault.reduce_failure_prob)) {
-    sim_.Schedule(cpu * kFailurePoint, [this, t, epoch] {
-      if (t->epoch != epoch) return;
-      OnTaskFailed(*t);
-    });
+    sim_.Schedule(cpu * kFailurePoint,
+                  Guarded(task, &JobRunner::OnTaskFailed));
     return;
   }
 
@@ -688,8 +698,7 @@ void JobRunner::OnGatherDone(TaskRun& task) {
   // until the entire output dataset is ready". The push flow (sized for
   // the full output) departs once an early fraction of the compute is
   // done; the task itself completes at full compute time.
-  if (sr.stage.output == StageOutputKind::kTransferProduce &&
-      sr.stage.transfer_consumer >= 0) {
+  if (sr.is_transfer_producer()) {
     StageRun* producer_sr = &sr;
     sim_.Schedule(cpu * kEarlyPushFraction,
                   [this, t, epoch, producer_sr,
@@ -701,25 +710,17 @@ void JobRunner::OnGatherDone(TaskRun& task) {
                   });
     sim_.Schedule(cpu, [this, t, epoch, fills = std::move(out.cache_fills)] {
       if (t->epoch != epoch) return;
-      for (auto& fill : fills) {
-        cluster_.blocks().Put(t->node,
-                              BlockId::Cached(fill.rdd, fill.partition),
-                              fill.records);
-      }
+      CommitCacheFills(t->node, fills);
       FinishTask(*t);
     });
     return;
   }
 
-  auto commit = [this, t, epoch, out = std::move(out)]() mutable {
+  sim_.Schedule(cpu, [this, t, epoch, out = std::move(out)]() mutable {
     if (t->epoch != epoch) return;
-    for (auto& fill : out.cache_fills) {
-      cluster_.blocks().Put(t->node, BlockId::Cached(fill.rdd, fill.partition),
-                            fill.records);
-    }
+    CommitCacheFills(t->node, out.cache_fills);
     OnComputeDone(*t, std::move(out));
-  };
-  sim_.Schedule(cpu, std::move(commit));
+  });
 }
 
 void JobRunner::OnTaskFailed(TaskRun& task) {
@@ -729,10 +730,11 @@ void JobRunner::OnTaskFailed(TaskRun& task) {
   GS_LOG_INFO << "task " << sr.stage.id << "/" << task.partition
               << " failed on " << topo_.node(task.node).name << ", retrying";
   cluster_.scheduler().ReleaseSlot(task.node, tenant_);
-  ++task.epoch;
-  ++task.attempt;
-  task.assigned = false;
-  task.node = kNoNode;
+  // The retry keeps the failed attempt's gather sources until its own
+  // gather starts: a crash of one in between still restarts it.
+  std::vector<NodeIndex> gather_srcs = std::move(task.gather_srcs);
+  ResetAttempt(task);
+  task.gather_srcs = std::move(gather_srcs);
   SubmitTask(task);
 }
 
@@ -757,10 +759,8 @@ void JobRunner::OnComputeDone(TaskRun& task, TaskComputeResult out) {
       }
       results_[task.partition] = std::move(out.records);
       cluster_.network().StartFlow(task.node, cluster_.driver_node(), bytes,
-                                   FlowKind::kCollect, [this, t, epoch] {
-                                     if (t->epoch != epoch) return;
-                                     FinishTask(*t);
-                                   });
+                                   FlowKind::kCollect,
+                                   Guarded(task, &JobRunner::FinishTask));
       break;
     }
     case StageOutputKind::kShuffleWrite: {
@@ -826,8 +826,7 @@ void JobRunner::FinishTask(TaskRun& task) {
   if (TraceCollector* trace = cluster_.trace()) {
     TraceSpan span;
     span.kind = TraceSpan::Kind::kTask;
-    span.category = sr.stage.starts_at_transfer && !sr.standalone
-                        ? "receiver"
+    span.category = sr.is_receiver()                              ? "receiver"
                     : IsReducerStage(sr)                             ? "reduce"
                     : sr.stage.output == StageOutputKind::kResult    ? "result"
                                                                      : "map";
@@ -914,9 +913,8 @@ void JobRunner::OnNodeCrashed(NodeIndex node) {
   for (auto& srp : stage_runs_) {
     StageRun& sr = *srp;
     if (sr.skipped || !sr.submitted) continue;
-    const bool receiver_stage = sr.stage.starts_at_transfer && !sr.standalone;
     auto handle = [&](TaskRun& task) {
-      if (receiver_stage) {
+      if (sr.is_receiver()) {
         // Completed receivers lose their written shuffle blocks with the
         // node; that is discovered lazily at fetch time like any map loss.
         if (task.done || task.node != node) return;
@@ -928,20 +926,11 @@ void JobRunner::OnNodeCrashed(NodeIndex node) {
       if (task.done) {
         // Finished transfer producer whose push is still in flight from
         // this node: the buffered output died with the executor, so the
-        // producer task itself must be re-run (its receiver is reset by
-        // RestartTask/ResubmitCompletedTask). Finished *map* outputs stay
-        // registered until a fetch failure (lazy detection).
-        if (sr.stage.output == StageOutputKind::kTransferProduce &&
-            sr.stage.transfer_consumer >= 0 && task.node == node) {
-          TaskRun& recv =
-              *stage_run(sr.stage.transfer_consumer).tasks[task.partition];
-          if (!recv.done && recv.producer_done && !recv.data_landed &&
-              recv.producer_node == node) {
-            ++recv.epoch;
-            recv.receiver_started = false;
-            DropInbox(recv);
-            ResubmitCompletedTask(sr, task);
-          }
+        // producer task itself must be re-run (DropUnlandedPush resets its
+        // receiver). Finished *map* outputs stay registered until a fetch
+        // failure (lazy detection).
+        if (task.node == node && DropUnlandedPush(sr, task.partition, node)) {
+          ResubmitCompletedTask(sr, task);
         }
         return;
       }
@@ -960,30 +949,8 @@ void JobRunner::OnNodeCrashed(NodeIndex node) {
   }
 }
 
-void JobRunner::RestartTask(TaskRun& task) {
-  StageRun& sr = stage_run(task.stage);
-  GS_CHECK(!task.done);
-  GS_LOG_INFO << "restarting task " << sr.stage.id << "/" << task.partition
-              << " (attempt " << task.attempt + 1 << ")";
+void JobRunner::ResetAttempt(TaskRun& task) {
   ++task.epoch;
-  // A running transfer producer that already pushed: if the push has not
-  // landed, it dies with this node — reset the receiver so the re-run's
-  // push is accepted.
-  if (sr.stage.output == StageOutputKind::kTransferProduce &&
-      sr.stage.transfer_consumer >= 0) {
-    TaskRun& recv =
-        *stage_run(sr.stage.transfer_consumer).tasks[task.partition];
-    if (!recv.done && recv.producer_done && !recv.data_landed &&
-        recv.producer_node == task.node) {
-      ++recv.epoch;
-      recv.receiver_started = false;
-      DropInbox(recv);
-    }
-  }
-  // Frees the held slot when the task is restarted because a gather
-  // *source* died; with the task's own node down only the tenant's busy
-  // count balances (the slot died with the executor).
-  cluster_.scheduler().ReleaseSlot(task.node, tenant_);
   ++task.attempt;
   task.assigned = false;
   task.node = kNoNode;
@@ -991,6 +958,22 @@ void JobRunner::RestartTask(TaskRun& task) {
   task.gathered.clear();
   task.pending_gathers = 0;
   task.in_bytes = 0;
+}
+
+void JobRunner::RestartTask(TaskRun& task) {
+  StageRun& sr = stage_run(task.stage);
+  GS_CHECK(!task.done);
+  GS_LOG_INFO << "restarting task " << sr.stage.id << "/" << task.partition
+              << " (attempt " << task.attempt + 1 << ")";
+  // A running transfer producer that already pushed: if the push has not
+  // landed, it dies with this node — reset the receiver so the re-run's
+  // push is accepted.
+  DropUnlandedPush(sr, task.partition, task.node);
+  // Frees the held slot when the task is restarted because a gather
+  // *source* died; with the task's own node down only the tenant's busy
+  // count balances (the slot died with the executor).
+  cluster_.scheduler().ReleaseSlot(task.node, tenant_);
+  ResetAttempt(task);
   SubmitTask(task);
 }
 
@@ -1001,36 +984,21 @@ void JobRunner::ResubmitCompletedTask(StageRun& sr, TaskRun& task) {
   sr.partition_done[task.partition] = false;
   // The stage will re-fire OnStageDone when the re-run completes.
   sr.done = false;
-  ++task.epoch;
-  ++task.attempt;
-  if (sr.stage.starts_at_transfer && !sr.standalone) {
+  ResetAttempt(task);
+  if (sr.is_receiver()) {
     // Re-run of a receiver: re-push the retained inbox to a fresh node in
     // the aggregator subset (recovery stays datacenter-local there).
     GS_CHECK(task.producer_done && task.inbox != nullptr);
-    task.assigned = false;
     task.receiver_started = false;
     task.data_landed = false;
     task.node = PickReceiverNode(sr, kNoNode);
-    if (!cluster_.scheduler().node_up(task.producer_node)) {
-      // The push source died too: recompute the producer, which re-pushes.
-      DropInbox(task);
-      StageRun& producer_sr = stage_run(sr.stage.transfer_producer);
-      TaskRun& pt = *producer_sr.tasks[task.partition];
-      if (pt.done) {
-        ResubmitCompletedTask(producer_sr, pt);
-      } else if (pt.assigned) {
-        RestartTask(pt);
-      }
-      return;
+    if (cluster_.scheduler().node_up(task.producer_node)) {
+      TryDeliver(task);
+    } else {
+      RerunProducer(task);  // the push source died too
     }
-    TryDeliver(task);
     return;
   }
-  task.assigned = false;
-  task.node = kNoNode;
-  task.gather_srcs.clear();
-  task.gathered.clear();
-  task.pending_gathers = 0;
   SubmitTask(task);
 }
 
@@ -1048,12 +1016,7 @@ void JobRunner::HandleFetchFailure(TaskRun& task, ShuffleId sid,
   // shard — over the WAN under fetch-based shuffle, within the aggregator
   // datacenter under Push/Aggregate (the paper's Fig. 2 asymmetry).
   cluster_.scheduler().ReleaseSlot(task.node, tenant_);
-  ++task.epoch;
-  ++task.attempt;
-  task.assigned = false;
-  task.node = kNoNode;
-  task.gathered.clear();
-  task.gather_srcs.clear();
+  ResetAttempt(task);
 
   // Invalidate only outputs that are still unusable *now*. This doomed
   // attempt observed the loss a gather-RTT ago; the parent map may have
@@ -1126,18 +1089,11 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
   if (!cluster_.scheduler().node_up(receiver.producer_node)) {
     // Double fault: the push source died too, so the retained output is
     // gone — recompute the producer, which will re-notify.
-    DropInbox(receiver);
     receiver.node = PickReceiverNode(consumer, kNoNode);
-    StageRun& producer_sr = stage_run(consumer.stage.transfer_producer);
-    TaskRun& pt = *producer_sr.tasks[receiver.partition];
-    if (pt.done) {
-      ResubmitCompletedTask(producer_sr, pt);
-    } else if (pt.assigned) {
-      RestartTask(pt);
-    }
+    RerunProducer(receiver);
     return;
   }
-  if (receiver.push_retries >= config_.transport.max_push_retries) {
+  if (receiver.push_retries >= kMaxPushRetries) {
     // Retries exhausted: degrade the push to the producer's own node — a
     // co-located no-op write, after which downstream reducers *fetch* that
     // partition (push falls back to fetch).
@@ -1154,19 +1110,13 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
   ++metrics_.push_retries;
   receiver.node = PickReceiverNode(consumer, kNoNode);
   const SimTime backoff =
-      config_.transport.push_retry_backoff *
-      std::pow(config_.transport.push_backoff_factor,
-               receiver.push_retries - 1);
+      kPushRetryBackoff *
+      std::pow(kPushBackoffFactor, receiver.push_retries - 1);
   GS_LOG_INFO << "push retry " << receiver.push_retries << " for stage "
               << consumer.stage.id << "/" << receiver.partition << " to "
               << topo_.node(receiver.node).name << " after " << backoff
               << "s";
-  TaskRun* r = &receiver;
-  const int epoch = receiver.epoch;
-  sim_.Schedule(backoff, [this, r, epoch] {
-    if (r->epoch != epoch) return;
-    TryDeliver(*r);
-  });
+  sim_.Schedule(backoff, Guarded(receiver, &JobRunner::TryDeliver));
 }
 
 NodeIndex JobRunner::PickReceiverNode(StageRun& consumer, NodeIndex exclude) {
@@ -1174,19 +1124,13 @@ NodeIndex JobRunner::PickReceiverNode(StageRun& consumer, NodeIndex exclude) {
   std::vector<NodeIndex> candidates;
   for (DcIndex dc : consumer.aggregator_dcs) {
     for (NodeIndex n : topo_.nodes_in(dc)) {
-      if (topo_.node(n).worker && cluster_.scheduler().node_up(n) &&
-          n != exclude) {
-        candidates.push_back(n);
-      }
+      if (n != exclude && IsLiveWorker(n)) candidates.push_back(n);
     }
   }
   if (candidates.empty()) {
     // Aggregator subset fully down: spill to any live worker.
     for (NodeIndex n = 0; n < topo_.num_nodes(); ++n) {
-      if (topo_.node(n).worker && cluster_.scheduler().node_up(n) &&
-          n != exclude) {
-        candidates.push_back(n);
-      }
+      if (n != exclude && IsLiveWorker(n)) candidates.push_back(n);
     }
   }
   GS_CHECK_MSG(!candidates.empty(), "no live worker to host a receiver");
@@ -1221,7 +1165,7 @@ void JobRunner::ReplanReceivers() {
   const SimTime now = sim_.Now();
   for (auto& srp : stage_runs_) {
     StageRun& consumer = *srp;
-    if (!consumer.stage.starts_at_transfer || consumer.standalone) continue;
+    if (!consumer.is_receiver()) continue;
     if (!consumer.submitted || consumer.done || consumer.skipped) continue;
     // Rate limit: at most one pass per kMinReplanInterval of *strictly
     // later* time. Several degradation events landing at the same instant
@@ -1257,11 +1201,8 @@ bool JobRunner::ReplanStage(StageRun& consumer) {
     return false;  // the application pinned this transfer's destination
   }
   const std::vector<Bytes> per_dc = StageInputPerDc(producer_sr);
-  AggregatorPlacementPolicy::Context ctx = PolicyContext();
-  std::vector<DcIndex> ranking = policy_->Rank(ctx, per_dc);
-  const int k = std::clamp(config_.aggregator_dc_count, 1,
-                           topo_.num_datacenters());
-  ranking.resize(k);
+  const AggregatorPlacementPolicy::Context ctx = PolicyContext();
+  std::vector<DcIndex> ranking = ChooseAggregatorDcs(ctx, per_dc);
 
   // Hysteresis on the primary choice: abandon the current subset only when
   // the policy scores the new best at least kReplanHysteresis times
@@ -1379,9 +1320,7 @@ void JobRunner::PlaceReceiver(StageRun& producer_sr, TaskRun& producer_task) {
   const DcIndex dc = targets[cursor % targets.size()];
   std::vector<NodeIndex> workers;
   for (NodeIndex n : topo_.nodes_in(dc)) {
-    if (topo_.node(n).worker && cluster_.scheduler().node_up(n)) {
-      workers.push_back(n);
-    }
+    if (IsLiveWorker(n)) workers.push_back(n);
   }
   if (workers.empty()) {
     receiver.node = PickReceiverNode(consumer, kNoNode);
@@ -1416,14 +1355,10 @@ void JobRunner::TryDeliver(TaskRun& receiver) {
     return;
   }
   receiver.receiver_started = true;
-  TaskRun* r = &receiver;
-  const int epoch = receiver.epoch;
   if (receiver.producer_node == receiver.node) {
     // Co-located: the transferTo task is transparent (Sec. IV-C2).
-    sim_.Schedule(kLocalHandoff, [this, r, epoch] {
-      if (r->epoch != epoch) return;
-      ReceiverGotData(*r);
-    });
+    sim_.Schedule(kLocalHandoff,
+                  Guarded(receiver, &JobRunner::ReceiverGotData));
   } else {
     AccountFlow(receiver.producer_node, receiver.node, receiver.inbox_bytes,
                 FlowKind::kShufflePush);
@@ -1432,10 +1367,7 @@ void JobRunner::TryDeliver(TaskRun& receiver) {
     transfer.dst = receiver.node;
     transfer.bytes = receiver.inbox_bytes;
     transfer.kind = FlowKind::kShufflePush;
-    transfer.on_landed = [this, r, epoch] {
-      if (r->epoch != epoch) return;
-      ReceiverGotData(*r);
-    };
+    transfer.on_landed = Guarded(receiver, &JobRunner::ReceiverGotData);
     cluster_.transport().Transfer(std::move(transfer));
   }
 }
@@ -1455,24 +1387,16 @@ void JobRunner::SubmitReceiverCompute(TaskRun& receiver) {
   LeafRef leaf = ResolveLeaf(*sr.stage.output_rdd, receiver.partition);
   GS_CHECK(leaf.leaf->kind() == RddKind::kTransferred);
 
-  TaskComputeSpec spec;
-  spec.output_rdd = sr.stage.output_rdd.get();
-  spec.partition = receiver.partition;
+  // Receivers combine whenever the stage asks: disable_map_side_combine
+  // only switches off the *map-side* pass (the Sec. IV-C3 knob); the
+  // receiver's combine is the aggregation the transfer exists for.
+  TaskComputeSpec spec =
+      ComputeSpec(sr, receiver.partition, /*combine=*/true);
   spec.start.rdd = leaf.leaf;
   spec.start.partition = leaf.partition;
   // Shared, not consumed: the inbox is retained so a crash of this node
   // can be recovered by re-pushing instead of recomputing the producer.
   spec.start.chunks = {receiver.inbox};
-  // Receivers combine whenever the stage asks: disable_map_side_combine
-  // only switches off the *map-side* pass (the Sec. IV-C3 knob); the
-  // receiver's combine is the aggregation the transfer exists for.
-  if (sr.stage.pre_output_combine) {
-    spec.combine = &sr.stage.pre_output_combine;
-  }
-  spec.output = sr.stage.output;
-  if (sr.stage.consumer_shuffle != nullptr) {
-    spec.consumer_shuffle = &sr.stage.consumer_shuffle->shuffle();
-  }
   receiver.compute =
       cluster_.compute_pool().Submit([spec = std::move(spec)]() mutable {
         return ComputeTask(std::move(spec));
@@ -1494,10 +1418,7 @@ void JobRunner::ExecuteReceiver(TaskRun& receiver) {
   const int epoch = receiver.epoch;
   sim_.Schedule(cpu, [this, r, epoch, out = std::move(out)]() mutable {
     if (r->epoch != epoch) return;
-    for (auto& fill : out.cache_fills) {
-      cluster_.blocks().Put(r->node, BlockId::Cached(fill.rdd, fill.partition),
-                            fill.records);
-    }
+    CommitCacheFills(r->node, out.cache_fills);
     OnComputeDone(*r, std::move(out));
   });
 }
@@ -1507,6 +1428,33 @@ void JobRunner::DropInbox(TaskRun& receiver) {
   receiver.inbox.reset();
   receiver.inbox_bytes = 0;
   receiver.compute = {};
+}
+
+bool JobRunner::DropUnlandedPush(StageRun& producer_sr, int partition,
+                                 NodeIndex node) {
+  if (!producer_sr.is_transfer_producer()) return false;
+  TaskRun& recv =
+      *stage_run(producer_sr.stage.transfer_consumer).tasks[partition];
+  if (recv.done || !recv.producer_done || recv.data_landed ||
+      recv.producer_node != node) {
+    return false;
+  }
+  ++recv.epoch;
+  recv.receiver_started = false;
+  DropInbox(recv);
+  return true;
+}
+
+void JobRunner::RerunProducer(TaskRun& receiver) {
+  DropInbox(receiver);
+  StageRun& producer_sr =
+      stage_run(stage_run(receiver.stage).stage.transfer_producer);
+  TaskRun& pt = *producer_sr.tasks[receiver.partition];
+  if (pt.done) {
+    ResubmitCompletedTask(producer_sr, pt);
+  } else if (pt.assigned) {
+    RestartTask(pt);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1546,6 +1494,18 @@ void JobRunner::AccountFlow(NodeIndex src, NodeIndex dst, Bytes bytes,
       break;
   }
   metrics_.cross_dc_bytes += bytes;
+}
+
+void JobRunner::CommitCacheFills(
+    NodeIndex node, const std::vector<EvalResult::CacheFill>& fills) {
+  for (const EvalResult::CacheFill& fill : fills) {
+    cluster_.blocks().Put(node, BlockId::Cached(fill.rdd, fill.partition),
+                          fill.records);
+  }
+}
+
+bool JobRunner::IsLiveWorker(NodeIndex n) const {
+  return topo_.node(n).worker && cluster_.scheduler().node_up(n);
 }
 
 double JobRunner::StragglerFactor() {
@@ -2016,9 +1976,10 @@ AggregatorPlacementPolicy::Context JobRunner::PolicyContext() {
   return ctx;
 }
 
-std::vector<DcIndex> JobRunner::ChooseAggregatorDcs(const StageRun& producer_sr) {
-  const std::vector<Bytes> per_dc = StageInputPerDc(producer_sr);
-  std::vector<DcIndex> ranking = policy_->Rank(PolicyContext(), per_dc);
+std::vector<DcIndex> JobRunner::ChooseAggregatorDcs(
+    const AggregatorPlacementPolicy::Context& ctx,
+    const std::vector<Bytes>& per_dc) {
+  std::vector<DcIndex> ranking = policy_->Rank(ctx, per_dc);
   GS_CHECK(static_cast<int>(ranking.size()) == topo_.num_datacenters());
   const int k = std::clamp(config_.aggregator_dc_count, 1,
                            topo_.num_datacenters());

@@ -156,6 +156,14 @@ class JobRunner {
     // multicast groups, residual unicasts, in-DC consolidations — drains.
     int coded_pending = 0;
     bool coded_exchange_done = false;
+
+    // Paired with a transfer producer: tasks receive pushed partitions.
+    bool is_receiver() const { return stage.starts_at_transfer && !standalone; }
+    // Pushes each computed partition to a paired receiver task.
+    bool is_transfer_producer() const {
+      return stage.output == StageOutputKind::kTransferProduce &&
+             stage.transfer_consumer >= 0;
+    }
   };
 
   // --- stage orchestration ---
@@ -169,6 +177,9 @@ class JobRunner {
   void OnStageDone(StageId id);
 
   // --- task lifecycle ---
+  // A continuation calling `fn` on `task` that no-ops once the task moved
+  // to a new attempt (the epoch guard; see TaskRun::epoch).
+  auto Guarded(TaskRun& task, void (JobRunner::*fn)(TaskRun&));
   std::vector<NodeIndex> PreferredNodes(const StageRun& sr, int partition);
   void SubmitTask(TaskRun& task);
   void OnAssigned(TaskRun& task, NodeIndex node);
@@ -180,6 +191,10 @@ class JobRunner {
   // shard) at FlushComputeBatch — a gather barrier releasing k tasks at
   // the same instant enqueues them all at once.
   void SubmitCompute(TaskRun& task);
+  // The stage-level part of a task's compute job; callers fill `start`.
+  // `combine` gates the stage's pre-output combine.
+  TaskComputeSpec ComputeSpec(const StageRun& sr, int partition,
+                              bool combine) const;
   // Hands the accumulated wave to the pool. Runs from a zero-delay event
   // scheduled by the first SubmitCompute of the instant, and eagerly from
   // OnGatherDone before joining a future (a same-instant gather can need
@@ -191,6 +206,10 @@ class JobRunner {
   void FinishTask(TaskRun& task);
 
   // --- fault recovery ---
+  // Starts a fresh attempt: bumps the epoch (orphaning every continuation
+  // of the old one) and the attempt count, unassigns the task and clears
+  // its gather state. Slot release and resubmission stay with the caller.
+  void ResetAttempt(TaskRun& task);
   // A reducer found map outputs of `sid` missing while building its fetch
   // list: fail the attempt, invalidate the lost outputs (epoch bump),
   // resubmit exactly the missing partitions of the parent stage, and park
@@ -234,6 +253,13 @@ class JobRunner {
   // drops the inbox and the compute future with it; the producer's re-run
   // re-notifies and submits a fresh one.
   void DropInbox(TaskRun& receiver);
+  // If `node` held the partition's producer output and its push has not
+  // landed, orphans the receiver's delivery and drops its inbox so the
+  // producer's re-run re-pushes; returns whether it did.
+  bool DropUnlandedPush(StageRun& producer_sr, int partition, NodeIndex node);
+  // The receiver's push source died: drops the inbox and re-runs the
+  // producer task, which re-notifies. The receiver must already be placed.
+  void RerunProducer(TaskRun& receiver);
 
   // --- coded shuffle (docs/CODED.md) ---
   // Effective replication degree: redundancy_r clamped to the DC count.
@@ -287,16 +313,22 @@ class JobRunner {
   // also records at flow start, but its totals span all concurrent jobs,
   // so per-job numbers must be attributed at the call site.
   void AccountFlow(NodeIndex src, NodeIndex dst, Bytes bytes, FlowKind kind);
+  // Registers a compute job's cache fills on the node that ran it.
+  void CommitCacheFills(NodeIndex node,
+                        const std::vector<EvalResult::CacheFill>& fills);
+  bool IsLiveWorker(NodeIndex n) const;
   double StragglerFactor();
   // Shuffle-input bytes per datacenter for the stage's pending transfer
   // (cached cuts credited to the nearest live replica; see
   // ChooseAggregatorDcs).
   std::vector<Bytes> StageInputPerDc(const StageRun& producer_sr);
   AggregatorPlacementPolicy::Context PolicyContext();
-  // The top-k datacenters ranked by the placement policy (k =
-  // aggregator_dc_count); the static policy reproduces Eq. 2 exactly,
+  // The top-k datacenters ranked by the placement policy over `per_dc`
+  // (k = aggregator_dc_count); the static policy reproduces Eq. 2 exactly,
   // the bandwidth-aware one scores by estimated aggregation time.
-  std::vector<DcIndex> ChooseAggregatorDcs(const StageRun& producer_sr);
+  std::vector<DcIndex> ChooseAggregatorDcs(
+      const AggregatorPlacementPolicy::Context& ctx,
+      const std::vector<Bytes>& per_dc);
   void CentralizeInputsThenStart();
   StageRun& stage_run(StageId id) { return *stage_runs_[id]; }
   bool IsReducerStage(const StageRun& sr) const;

@@ -87,20 +87,11 @@ struct FabricConfig {
   SimTime exchange_latency = Millis(2);
 };
 
-// Shuffle-transport selection, the per-backend settings, and the
-// transfer-recovery knobs that apply to whichever backend runs.
+// Shuffle-transport selection and the per-backend settings. Push retries
+// after a receiver's node dies follow fixed constants whichever backend
+// runs (kMaxPushRetries and the backoff in engine/job_runner.cc).
 struct TransportConfig {
   TransportKind kind = TransportKind::kDirect;
-
-  // Transfer-push recovery: when a receiver's node dies, the push is
-  // retried against a fresh node in the aggregator datacenter after an
-  // exponential backoff (base * factor^(attempt-1)). Once max_push_retries
-  // is exhausted the transfer degrades to the producer's own node — a
-  // co-located no-op — and downstream reducers fall back to fetching that
-  // partition over the WAN (push -> fetch fallback).
-  int max_push_retries = 4;
-  SimTime push_retry_backoff = Seconds(1);
-  double push_backoff_factor = 2.0;
 
   ObjectStoreConfig object_store;
   FabricConfig fabric;
@@ -206,11 +197,6 @@ struct RunConfig {
   TaskSchedulerConfig sched;
   CostModel cost;  // already scaled by the caller (CostModel::Scaled)
 
-  // AggShuffle: insert transferTo() before every shuffle automatically
-  // (spark.shuffle.aggregation). When false, only explicit transferTo()
-  // calls in application code take effect.
-  bool auto_aggregation = true;
-
   TransportConfig transport;
   AdaptiveConfig adaptive;
   CodedConfig coded;
@@ -218,11 +204,6 @@ struct RunConfig {
   SpeculationConfig speculation;
   ServiceConfig service;
   ObservabilityConfig observe;
-
-  // Reducer placement preference threshold: a node is preferred for a
-  // reduce task if it stores at least this fraction of the shard's input
-  // (Spark's REDUCER_PREF_LOCS_FRACTION).
-  double reducer_pref_fraction = 0.2;
 
   // Ablation knobs.
   AggregatorPolicy aggregator_policy = AggregatorPolicy::kLargestInput;

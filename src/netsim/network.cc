@@ -168,119 +168,28 @@ std::int32_t Network::AllocSlot() {
   return static_cast<std::int32_t>(slab_.size()) - 1;
 }
 
-void Network::FreeSlot(std::int32_t slot) {
+void Network::RetireFlow(std::int32_t slot) {
   Flow& f = slab_[static_cast<std::size_t>(slot)];
+  if (f.started) {
+    MarkFlowResourcesDirty(f);
+    // Drop contention before the component update: a rebuild triggered by
+    // this departure must not re-insert the dying flow.
+    f.started = false;
+    RemoveFlowFromComponent(f);
+  }
   id_to_slot_[static_cast<std::size_t>(f.id)] = -1;
-  f.started = false;
   f.on_complete = nullptr;
   f.completion_event = EventHandle{};
   free_slots_.push_back(slot);
   --tracked_flows_;
+  if (m_active_flows_ != nullptr) {
+    m_active_flows_->Set(tracked_flows_);
+  }
 }
 
 FlowId Network::StartFlow(NodeIndex src, NodeIndex dst, Bytes bytes,
                           FlowKind kind, CompletionFn on_complete) {
-  GS_CHECK(src >= 0 && src < topo_.num_nodes());
-  GS_CHECK(dst >= 0 && dst < topo_.num_nodes());
-  GS_CHECK(bytes >= 0);
-  GS_CHECK(on_complete != nullptr);
-
-  const FlowId id = next_flow_id_++;
-  const DcIndex src_dc = topo_.dc_of(src);
-  const DcIndex dst_dc = topo_.dc_of(dst);
-
-  meter_.Record(src_dc, dst_dc, kind, bytes);
-  if (m_flows_started_ != nullptr) {
-    m_flows_started_->Add(1);
-    if (kind == FlowKind::kShuffleFetch) {
-      m_fetch_bytes_->Observe(static_cast<double>(bytes));
-    } else if (kind == FlowKind::kShufflePush) {
-      m_push_bytes_->Observe(static_cast<double>(bytes));
-    }
-  }
-
-  const std::int32_t slot = AllocSlot();
-  GS_CHECK(static_cast<std::size_t>(id) == id_to_slot_.size());
-  id_to_slot_.push_back(slot);
-  ++tracked_flows_;
-  Flow& f = slab_[static_cast<std::size_t>(slot)];
-  f.started = false;
-  f.nres = 0;
-  f.res[0] = f.res[1] = f.res[2] = -1;
-  f.contend_seq = -1;
-  f.rate = 0;
-  f.rate_cap = 0;
-  f.id = id;
-  f.src = src;
-  f.dst = dst;
-  f.kind = kind;
-  f.remaining = static_cast<double>(bytes);
-  f.total = bytes;
-  f.created_at = sim_.Now();
-  f.last_update = sim_.Now();
-  f.wan_link = -1;
-  f.attributed = 0;
-  f.on_complete = std::move(on_complete);
-
-  if (src == dst) {
-    // Loopback: consumes no network resources and completes after a fixed
-    // local latency, but it is metered (on the intra-DC diagonal), counted
-    // and tracked like any other flow so byte conservation and flow
-    // accounting hold, and CancelFlow on its id behaves normally. It never
-    // sets `started`, so rate sharing and progress advancement skip it.
-    f.completion_event = sim_.Schedule(Millis(0.1), [this, id] {
-      const std::int32_t s = SlotOf(id);
-      if (s < 0) return;  // cancelled before loopback latency
-      FinishFlow(s);
-      ScheduleDeferredReconfigure();
-    });
-    if (m_active_flows_ != nullptr) {
-      m_active_flows_->Set(tracked_flows_);
-    }
-    return id;
-  }
-
-  CatchUpJitter();
-  f.res[f.nres++] = static_cast<std::int32_t>(UplinkRes(src));
-  SimTime setup = topo_.rtt(src_dc, dst_dc) / 2;
-  if (src_dc != dst_dc) {
-    int link = topo_.wan_link_index(src_dc, dst_dc);
-    GS_CHECK_MSG(link >= 0, "no WAN link " << src_dc << "->" << dst_dc);
-    f.res[f.nres++] = static_cast<std::int32_t>(WanRes(link));
-    // Single-connection TCP ceiling and occasional stalls on WAN paths.
-    const WanLinkSpec& spec = topo_.wan_link(link);
-    double eff = jitter_rng_.Uniform(config_.wan_flow_efficiency_min, 1.0);
-    f.rate_cap = eff * spec.base_rate;
-    if (config_.wan_stall_prob > 0 &&
-        jitter_rng_.Bernoulli(config_.wan_stall_prob)) {
-      setup += jitter_rng_.Uniform(config_.wan_stall_min,
-                                   config_.wan_stall_max);
-      if (m_wan_stalls_ != nullptr) m_wan_stalls_->Add(1);
-    }
-    f.wan_link = link;
-  }
-  f.res[f.nres++] = static_cast<std::int32_t>(DownlinkRes(dst));
-  if (m_active_flows_ != nullptr) {
-    m_active_flows_->Set(tracked_flows_);
-  }
-
-  // Connection setup: the flow begins contending after one-way latency
-  // (plus any stall). Entering contention perturbs exactly the flow's own
-  // resources; the batched reconfigure re-shares those components once per
-  // instant, however many flows arrive together.
-  sim_.Schedule(setup, [this, id] {
-    const std::int32_t s = SlotOf(id);
-    if (s < 0) return;  // cancelled during setup
-    Flow& flow = slab_[static_cast<std::size_t>(s)];
-    flow.started = true;
-    flow.last_update = sim_.Now();
-    flow.contend_seq = next_contend_seq_++;
-    AddFlowToComponent(s);
-    MarkFlowResourcesDirty(flow);
-    ScheduleDeferredReconfigure();
-  });
-  MaintainJitterEvent();
-  return id;
+  return StartFlow(FlowSpec{src, dst, bytes, kind}, std::move(on_complete));
 }
 
 int Network::AddServiceResource(Rate capacity) {
@@ -347,44 +256,19 @@ FlowId Network::StartFlow(const FlowSpec& spec, CompletionFn on_complete) {
   f.wan_link = -1;
   f.attributed = 0;
   f.on_complete = std::move(on_complete);
-
-  CatchUpJitter();
-  SimTime setup = topo_.rtt(src_dc, dst_dc) / 2 + spec.extra_setup;
-  if (spec.src_uplink && spec.src != spec.dst) {
-    f.res[f.nres++] = static_cast<std::int32_t>(UplinkRes(spec.src));
-  }
-  if (src_dc != dst_dc) {
-    int link = topo_.wan_link_index(src_dc, dst_dc);
-    GS_CHECK_MSG(link >= 0, "no WAN link " << src_dc << "->" << dst_dc);
-    f.res[f.nres++] = static_cast<std::int32_t>(WanRes(link));
-    // Same single-connection TCP ceiling and stall model as the plain
-    // overload; an explicit spec cap composes as the tighter of the two.
-    const WanLinkSpec& lspec = topo_.wan_link(link);
-    double eff = jitter_rng_.Uniform(config_.wan_flow_efficiency_min, 1.0);
-    const Rate tcp_cap = eff * lspec.base_rate;
-    f.rate_cap = f.rate_cap > 0 ? std::min(f.rate_cap, tcp_cap) : tcp_cap;
-    if (config_.wan_stall_prob > 0 &&
-        jitter_rng_.Bernoulli(config_.wan_stall_prob)) {
-      setup += jitter_rng_.Uniform(config_.wan_stall_min,
-                                   config_.wan_stall_max);
-      if (m_wan_stalls_ != nullptr) m_wan_stalls_->Add(1);
-    }
-    f.wan_link = link;
-  }
-  if (spec.dst_downlink && spec.src != spec.dst) {
-    f.res[f.nres++] = static_cast<std::int32_t>(DownlinkRes(spec.dst));
-  }
-  if (spec.service_res >= 0) {
-    GS_CHECK_MSG(f.nres < 3, "flow spec composes more than 3 resources");
-    f.res[f.nres++] = static_cast<std::int32_t>(spec.service_res);
-  }
   if (m_active_flows_ != nullptr) {
     m_active_flows_->Set(tracked_flows_);
   }
 
-  if (f.nres == 0) {
-    // No shared resource to contend for: complete after loopback latency,
-    // exactly like the plain overload's src == dst path.
+  const bool uplink = spec.src_uplink && spec.src != spec.dst;
+  const bool downlink = spec.dst_downlink && spec.src != spec.dst;
+  if (!uplink && !downlink && src_dc == dst_dc && spec.service_res < 0) {
+    // No shared resource to contend for (loopback, or a same-DC spec that
+    // skips both NICs): complete after a fixed local latency. The flow is
+    // still metered (on the intra-DC diagonal), counted and tracked, so byte
+    // conservation holds and CancelFlow on its id behaves normally. It never
+    // sets `started`, so rate sharing and progress advancement skip it, and
+    // it draws nothing from the jitter stream.
     f.completion_event = sim_.Schedule(Millis(0.1), [this, id] {
       const std::int32_t s = SlotOf(id);
       if (s < 0) return;  // cancelled before loopback latency
@@ -394,6 +278,40 @@ FlowId Network::StartFlow(const FlowSpec& spec, CompletionFn on_complete) {
     return id;
   }
 
+  CatchUpJitter();
+  SimTime setup = topo_.rtt(src_dc, dst_dc) / 2 + spec.extra_setup;
+  if (uplink) {
+    f.res[f.nres++] = static_cast<std::int32_t>(UplinkRes(spec.src));
+  }
+  if (src_dc != dst_dc) {
+    int link = topo_.wan_link_index(src_dc, dst_dc);
+    GS_CHECK_MSG(link >= 0, "no WAN link " << src_dc << "->" << dst_dc);
+    f.res[f.nres++] = static_cast<std::int32_t>(WanRes(link));
+    // Single-connection TCP ceiling and occasional stalls on WAN paths; an
+    // explicit spec cap composes as the tighter of the two.
+    const WanLinkSpec& lspec = topo_.wan_link(link);
+    double eff = jitter_rng_.Uniform(config_.wan_flow_efficiency_min, 1.0);
+    const Rate tcp_cap = eff * lspec.base_rate;
+    f.rate_cap = f.rate_cap > 0 ? std::min(f.rate_cap, tcp_cap) : tcp_cap;
+    if (config_.wan_stall_prob > 0 &&
+        jitter_rng_.Bernoulli(config_.wan_stall_prob)) {
+      setup += jitter_rng_.Uniform(kWanStallMin, kWanStallMax);
+      if (m_wan_stalls_ != nullptr) m_wan_stalls_->Add(1);
+    }
+    f.wan_link = link;
+  }
+  if (downlink) {
+    f.res[f.nres++] = static_cast<std::int32_t>(DownlinkRes(spec.dst));
+  }
+  if (spec.service_res >= 0) {
+    GS_CHECK_MSG(f.nres < 3, "flow spec composes more than 3 resources");
+    f.res[f.nres++] = static_cast<std::int32_t>(spec.service_res);
+  }
+
+  // Connection setup: the flow begins contending after one-way latency
+  // (plus any stall). Entering contention perturbs exactly the flow's own
+  // resources; the batched reconfigure re-shares those components once per
+  // instant, however many flows arrive together.
   sim_.Schedule(setup, [this, id] {
     const std::int32_t s = SlotOf(id);
     if (s < 0) return;  // cancelled during setup
@@ -419,18 +337,8 @@ void Network::CancelFlow(FlowId id) {
   AdvanceFlow(f, sim_.Now());
   SettleFlowResidual(f);
   f.completion_event.Cancel();
-  if (f.started) {
-    MarkFlowResourcesDirty(f);
-    // Drop contention before the component update: a rebuild triggered by
-    // this departure must not re-insert the dying flow.
-    f.started = false;
-    RemoveFlowFromComponent(f);
-  }
-  FreeSlot(slot);
+  RetireFlow(slot);
   if (m_flows_cancelled_ != nullptr) m_flows_cancelled_->Add(1);
-  if (m_active_flows_ != nullptr) {
-    m_active_flows_->Set(tracked_flows_);
-  }
   // Synchronous: callers observe the re-shared rates immediately.
   Reconfigure();
 }
@@ -1015,17 +923,7 @@ void Network::FinishFlow(std::int32_t slot) {
     observer_(FlowRecord{f.id, f.src, f.dst, f.kind, f.total, f.created_at,
                          sim_.Now()});
   }
-  if (f.started) {
-    MarkFlowResourcesDirty(f);
-    // Drop contention before the component update: a rebuild triggered by
-    // this departure must not re-insert the dying flow.
-    f.started = false;
-    RemoveFlowFromComponent(f);
-  }
-  FreeSlot(slot);
-  if (m_active_flows_ != nullptr) {
-    m_active_flows_->Set(tracked_flows_);
-  }
+  RetireFlow(slot);
   // Run the completion through the simulator so that callbacks observe a
   // consistent network state and cannot reenter Reconfigure mid-loop.
   sim_.Schedule(0, std::move(cb));

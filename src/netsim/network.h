@@ -72,14 +72,16 @@ struct NetworkConfig {
   // efficiency factor drawn uniformly from [wan_flow_efficiency_min, 1]
   // capping its share of the link (loss/RTT limits of a single connection),
   // and with probability wan_stall_prob its start is delayed by a stall of
-  // [wan_stall_min, wan_stall_max] seconds (retransmission timeout /
+  // [kWanStallMin, kWanStallMax] seconds (retransmission timeout /
   // reconnection). Barrier-synchronized fetches put these tails on the
   // critical path; pipelined pushes absorb them under the map stage.
   double wan_flow_efficiency_min = 0.6;
   double wan_stall_prob = 0.06;
-  SimTime wan_stall_min = Seconds(2);
-  SimTime wan_stall_max = Seconds(10);
 };
+
+// Bounds of the uniform WAN start stall (NetworkConfig::wan_stall_prob).
+inline constexpr SimTime kWanStallMin = Seconds(2);
+inline constexpr SimTime kWanStallMax = Seconds(10);
 
 // Point-to-point transfer statistics per datacenter pair and flow kind.
 class TrafficMeter {
@@ -158,7 +160,7 @@ class Network {
   // resource, carry an extra setup latency (PUT/GET request round-trip,
   // histogram exchange) or a per-flow rate ceiling. The WAN leg — link
   // choice, TCP efficiency ceiling and stall draws — follows the node
-  // datacenters exactly like the plain StartFlow.
+  // datacenters. The plain overload is this spec with its defaults.
   struct FlowSpec {
     NodeIndex src = kNoNode;
     NodeIndex dst = kNoNode;
@@ -172,8 +174,9 @@ class Network {
   };
 
   // Starts a flow described by `spec`. A spec composing zero resources
-  // (src == dst with both NICs skipped and no service resource) completes
-  // after loopback latency like the plain overload. At most three
+  // (src == dst, or a same-DC spec skipping both NICs, with no service
+  // resource) completes after loopback latency like a plain loopback flow,
+  // without drawing from the jitter stream. At most three
   // resources may compose (solver invariant); a spec that would exceed
   // that is a programming error.
   FlowId StartFlow(const FlowSpec& spec, CompletionFn on_complete);
@@ -341,7 +344,9 @@ class Network {
                : -1;
   }
   std::int32_t AllocSlot();
-  void FreeSlot(std::int32_t slot);
+  // Takes a completed or cancelled flow out of contention and frees its
+  // slot; its id no longer resolves.
+  void RetireFlow(std::int32_t slot);
 
   // --- component maintenance (event thread only) ---
   Flow* EntryFlow(CompEntry e) {

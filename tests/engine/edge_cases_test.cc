@@ -169,18 +169,5 @@ TEST(EdgeCaseTest, ManySmallJobsOnOneCluster) {
   }
 }
 
-TEST(EdgeCaseTest, DisabledAutoAggregationBehavesLikeSpark) {
-  RunConfig cfg = Cfg(Scheme::kAggShuffle);
-  cfg.auto_aggregation = false;
-  GeoCluster cluster(Ec2SixRegionTopology(100), cfg);
-  RunResult run = cluster.Parallelize("d", Keyed(400, 17), 2)
-                      .ReduceByKey(SumInt64(), 8)
-                      .Run(ActionKind::kCollect);
-  const JobMetrics& m = run.metrics;
-  EXPECT_EQ(m.cross_dc_push_bytes, 0)
-      << "no transferTo should be inserted when auto_aggregation is off";
-  EXPECT_GT(m.cross_dc_fetch_bytes, 0);
-}
-
 }  // namespace
 }  // namespace gs

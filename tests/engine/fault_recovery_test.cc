@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "data/combiner.h"
 #include "data/record.h"
 #include "engine/cluster.h"
 #include "engine/dataset.h"
+#include "engine/trace.h"
 #include "storage/block.h"
 
 namespace gs {
@@ -217,6 +220,36 @@ TEST(ReceiverCrashTest, PushIsRetriedToAReplacementReceiver) {
   const JobMetrics& m = got.metrics;
   EXPECT_GT(m.push_retries + m.push_fallbacks + m.map_resubmissions, 0)
       << "losing an aggregator-DC worker must trigger recovery";
+}
+
+// A producer that finished on the crashed node while its push was still
+// on the wire loses the buffered output with its executor: the receiver
+// must drop the doomed push and the completed producer must run again, so
+// that partition's map task completes twice. Nothing else re-runs a
+// completed map here — the victim hosts no receiver (DC5, aggregation is
+// in DC0), so no fetch failure can resubmit one.
+TEST(ProducerCrashTest, FinishedProducerWithUnlandedPushIsRerun) {
+  const Scheme scheme = Scheme::kAggShuffle;
+  GeoCluster healthy(Ec2SixRegionTopology(100), DeterministicConfig(scheme));
+  auto expected = RunCounts(healthy).records;
+
+  RunConfig cfg = MidMapCrashConfig(scheme, kVictim);
+  cfg.observe.trace = true;
+  GeoCluster crashed(Ec2SixRegionTopology(100), cfg);
+  RunResult got = RunCounts(crashed);
+  EXPECT_EQ(got.records, expected);
+  ASSERT_NE(got.trace, nullptr);
+  std::map<std::string, int> completions;
+  for (const TraceSpan& span : got.trace->spans()) {
+    if (span.kind != TraceSpan::Kind::kTask || span.category != "map") {
+      continue;
+    }
+    ++completions[span.name.substr(0, span.name.find('#'))];
+  }
+  int rerun = 0;
+  for (const auto& [task, n] : completions) rerun += n > 1;
+  EXPECT_GT(rerun, 0) << "no finished producer was re-run after its "
+                         "unlanded push died with the node";
 }
 
 // Losing shuffle blocks without a crash (disk loss): the owner is alive,

@@ -67,18 +67,6 @@ TEST(ReduceLocalityTest, SpreadShuffleGivesNoPreferenceAndFetchesAcrossWan) {
   EXPECT_GT(run.metrics.cross_dc_fetch_bytes, 0);
 }
 
-TEST(ReduceLocalityTest, ThresholdIsConfigurable) {
-  // With an absurd 101% threshold nothing is ever preferred; placement is
-  // load-balanced and the confined case leaks across the WAN again.
-  RunConfig cfg = QuietSpark();
-  cfg.reducer_pref_fraction = 1.01;
-  GeoCluster cluster(Ec2SixRegionTopology(100), cfg);
-  Dataset data = cluster.CreateSource(
-      "confined", InputConfinedTo(cluster.topology(), 3));
-  RunResult run = data.ReduceByKey(SumInt64(), 8).Run(ActionKind::kSave);
-  EXPECT_GT(run.metrics.cross_dc_fetch_bytes, 0);
-}
-
 TEST(ReduceLocalityTest, NoSlotLeaksAcrossJobs) {
   GeoCluster cluster(Ec2SixRegionTopology(100), QuietSpark());
   std::vector<Record> records;

@@ -224,14 +224,14 @@ TEST(NetworkTest, PerFlowCapLimitsLoneFlow) {
 TEST(NetworkTest, StallDelaysFlowStart) {
   NetworkConfig cfg = Quiet();
   cfg.wan_stall_prob = 1.0;  // every WAN flow stalls
-  cfg.wan_stall_min = 2.0;
-  cfg.wan_stall_max = 2.0;
   Fixture f(TestTopo(), cfg);
   double done_at = -1;
   f.net.StartFlow(0, 2, MiB(1), FlowKind::kOther,
                   [&] { done_at = f.sim.Now(); });
   f.sim.Run();
-  EXPECT_NEAR(done_at, 1.0 + 0.05 + 2.0, 1e-6);
+  // Transfer 1 s + one-way latency 0.05 s + a stall in [2 s, 10 s].
+  EXPECT_GE(done_at, 1.0 + 0.05 + kWanStallMin - 1e-6);
+  EXPECT_LE(done_at, 1.0 + 0.05 + kWanStallMax + 1e-6);
 }
 
 TEST(NetworkTest, DrainsToEmptyQueueWithJitterOn) {

@@ -156,16 +156,31 @@ TEST(ServiceResourceTest, SpecFlowsAreMeteredByKind) {
 }
 
 TEST(ServiceResourceTest, ResourcelessSpecCompletesLikeLoopback) {
-  Fixture f(TestTopo());
-  Network::FlowSpec spec;
-  spec.src = 0;
-  spec.dst = 0;  // same node: no NICs, no WAN, no service
-  spec.bytes = GiB(1);
-  double done_at = -1;
-  f.net.StartFlow(spec, [&] { done_at = f.sim.Now(); });
-  f.sim.Run();
-  EXPECT_GE(done_at, 0.0);
-  EXPECT_LT(done_at, 0.01);
+  // Two specs compose no resource: the same node (no NICs, no WAN), and
+  // two nodes of one DC with both NICs skipped and no service tier.
+  for (const NodeIndex dst : {NodeIndex{0}, NodeIndex{1}}) {
+    SCOPED_TRACE(dst);
+    Fixture f(TestTopo());
+    Network::FlowSpec spec;
+    spec.src = 0;
+    spec.dst = dst;
+    spec.bytes = GiB(1);
+    spec.src_uplink = false;
+    spec.dst_downlink = false;
+    double done_at = -1;
+    f.net.StartFlow(spec, [&] { done_at = f.sim.Now(); });
+    bool cancelled_fired = false;
+    const FlowId cancelled =
+        f.net.StartFlow(spec, [&] { cancelled_fired = true; });
+    f.net.CancelFlow(cancelled);
+    f.sim.Run();
+    EXPECT_NEAR(done_at, Millis(0.1), 1e-9);  // loopback latency
+    EXPECT_FALSE(cancelled_fired);
+    EXPECT_EQ(f.net.active_flows(), 0);
+    // Both flows are metered on the intra-DC diagonal, the cancelled one
+    // included (its never-sent bytes are settled, not un-metered).
+    EXPECT_EQ(f.net.meter().pair_bytes(0, 0), 2 * GiB(1));
+  }
 }
 
 TEST(ServiceResourceTest, RegistrationAfterFirstFlowThrows) {

@@ -435,20 +435,20 @@ void ApplyAdaptive(const Options& opts, gs::RunConfig* cfg) {
   }
 }
 
-// Multi-job service mode: one shared cluster, N workload jobs submitted on
-// an open-loop arrival process across weighted tenants.
-int RunMultiJob(const Options& opts) {
+// The run configuration every geosim mode shares: scheme, scale, cost
+// model, pricing, transport, adaptivity and the --crash-node fault.
+gs::RunConfig MakeRunConfig(const Options& opts, std::uint64_t seed) {
   using namespace gs;
   RunConfig cfg;
   cfg.scheme = ParseScheme(opts.scheme);
-  cfg.seed = opts.seed;
+  cfg.seed = seed;
   cfg.scale = opts.scale;
   cfg.cost = CostModel{}.Scaled(opts.scale);
   cfg.aggregator_dc_count = opts.aggregators;
   cfg.compute_threads = opts.threads;
   cfg.observe.metrics = !opts.no_metrics;
+  // Dollar view of the cross-region traffic uses the 2016 EC2 tariff.
   cfg.observe.egress_usd_per_gib = WanPricing::Ec2SixRegionTariff().rates();
-  cfg.service.max_concurrent_jobs = opts.max_concurrent;
   ApplyTransport(opts, &cfg);
   ApplyAdaptive(opts, &cfg);
   if (opts.crash_node >= 0) {
@@ -458,6 +458,15 @@ int RunMultiJob(const Options& opts) {
     crash.restart_after = opts.restart_after;
     cfg.fault.plan.node_crashes.push_back(crash);
   }
+  return cfg;
+}
+
+// Multi-job service mode: one shared cluster, N workload jobs submitted on
+// an open-loop arrival process across weighted tenants.
+int RunMultiJob(const Options& opts) {
+  using namespace gs;
+  RunConfig cfg = MakeRunConfig(opts, opts.seed);
+  cfg.service.max_concurrent_jobs = opts.max_concurrent;
   GeoCluster cluster(Ec2SixRegionTopology(opts.scale), cfg);
 
   ArrivalConfig arrivals;
@@ -592,25 +601,8 @@ int main(int argc, char** argv) {
   JobMetrics last;
   RunReport last_report;
   for (int r = 0; r < opts.runs; ++r) {
-    RunConfig cfg;
-    cfg.scheme = ParseScheme(opts.scheme);
-    cfg.seed = opts.seed + static_cast<std::uint64_t>(r);
-    cfg.scale = opts.scale;
-    cfg.cost = CostModel{}.Scaled(opts.scale);
-    cfg.aggregator_dc_count = opts.aggregators;
-    cfg.compute_threads = opts.threads;
-    cfg.observe.metrics = !opts.no_metrics;
-    // Dollar view of the cross-region traffic uses the 2016 EC2 tariff.
-    cfg.observe.egress_usd_per_gib = WanPricing::Ec2SixRegionTariff().rates();
-    ApplyTransport(opts, &cfg);
-    ApplyAdaptive(opts, &cfg);
-    if (opts.crash_node >= 0) {
-      NodeCrashEvent crash;
-      crash.at = opts.crash_at;
-      crash.node = opts.crash_node;
-      crash.restart_after = opts.restart_after;
-      cfg.fault.plan.node_crashes.push_back(crash);
-    }
+    RunConfig cfg =
+        MakeRunConfig(opts, opts.seed + static_cast<std::uint64_t>(r));
     const bool want_trace =
         (r == opts.runs - 1) && (opts.gantt || !opts.trace_path.empty());
     cfg.observe.trace = want_trace;
