@@ -20,6 +20,29 @@ namespace {
 
 bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0; }
 
+// Key of GeoCluster::relocations_.
+std::int64_t RelocationKey(RddId rdd, int partition) {
+  return (static_cast<std::int64_t>(rdd) << 32) | partition;
+}
+
+// Every source RDD reachable from `root`, in depth-first pre-order.
+std::vector<const SourceRdd*> CollectSources(const Rdd& root) {
+  std::vector<const SourceRdd*> sources;
+  std::vector<const Rdd*> visited;
+  std::function<void(const Rdd&)> walk = [&](const Rdd& rdd) {
+    for (const Rdd* v : visited) {
+      if (v == &rdd) return;
+    }
+    visited.push_back(&rdd);
+    if (rdd.kind() == RddKind::kSource) {
+      sources.push_back(static_cast<const SourceRdd*>(&rdd));
+    }
+    for (const RddPtr& parent : rdd.parents()) walk(*parent);
+  };
+  walk(root);
+  return sources;
+}
+
 // Rejects malformed transport/pricing inputs up front, when the config is
 // locked in at cluster construction (i.e. before any Submit), instead of
 // letting a negative rate or NaN price propagate silently through the
@@ -231,9 +254,7 @@ void GeoCluster::StartTraceRecording() {
 
 NodeIndex GeoCluster::SourceLocation(const SourceRdd& rdd,
                                      int partition) const {
-  const std::int64_t key =
-      (static_cast<std::int64_t>(rdd.id()) << 32) | partition;
-  auto it = relocations_.find(key);
+  auto it = relocations_.find(RelocationKey(rdd.id(), partition));
   NodeIndex home =
       it != relocations_.end() ? it->second : rdd.partition(partition).node;
   if (scheduler_->node_up(home)) return home;
@@ -299,29 +320,66 @@ RddPtr GeoCluster::MaybeRewrite(const RddPtr& final_rdd) {
   return rewritten;
 }
 
-DcIndex GeoCluster::ChooseCentralDc(const RddPtr& final_rdd) const {
-  std::vector<Bytes> per_dc(topo_.num_datacenters(), 0);
-  std::vector<const Rdd*> visited;
-  std::function<void(const Rdd&)> walk = [&](const Rdd& rdd) {
-    for (const Rdd* v : visited) {
-      if (v == &rdd) return;
-    }
-    visited.push_back(&rdd);
-    if (rdd.kind() == RddKind::kSource) {
-      const auto& src = static_cast<const SourceRdd&>(rdd);
-      for (int p = 0; p < src.num_partitions(); ++p) {
-        per_dc[topo_.dc_of(SourceLocation(src, p))] +=
-            src.partition(p).bytes;
-      }
-    }
-    for (const RddPtr& parent : rdd.parents()) walk(*parent);
-  };
-  walk(*final_rdd);
-  DcIndex best = 0;
-  for (DcIndex dc = 1; dc < topo_.num_datacenters(); ++dc) {
-    if (per_dc[dc] > per_dc[best]) best = dc;
+void GeoCluster::CentralizeInputs(const RddPtr& final_rdd, JobMetrics& job,
+                                  std::function<void()> start) {
+  if (!centralized()) {
+    start();
+    return;
   }
-  return best;
+  const std::vector<const SourceRdd*> sources = CollectSources(*final_rdd);
+  std::vector<Bytes> per_dc(topo_.num_datacenters(), 0);
+  for (const SourceRdd* src : sources) {
+    for (int p = 0; p < src->num_partitions(); ++p) {
+      per_dc[topo_.dc_of(SourceLocation(*src, p))] += src->partition(p).bytes;
+    }
+  }
+  DcIndex central = 0;
+  for (DcIndex dc = 1; dc < topo_.num_datacenters(); ++dc) {
+    if (per_dc[dc] > per_dc[central]) central = dc;
+  }
+
+  const std::vector<NodeIndex>& central_nodes = topo_.nodes_in(central);
+  std::vector<NodeIndex> central_workers;
+  for (NodeIndex n : central_nodes) {
+    if (topo_.node(n).worker) central_workers.push_back(n);
+  }
+  GS_CHECK(!central_workers.empty());
+
+  StageMetrics relocation;
+  relocation.id = -1;
+  relocation.name = "input-centralization";
+  relocation.submitted = sim_.Now();
+  relocation.first_task_started = sim_.Now();
+
+  auto pending = std::make_shared<int>(1);
+  auto metrics_slot = std::make_shared<StageMetrics>(relocation);
+  auto done_one = [this, pending, metrics_slot, &job, start] {
+    if (--*pending == 0) {
+      metrics_slot->completed = sim_.Now();
+      job.stages.push_back(*metrics_slot);
+      start();
+    }
+  };
+
+  std::size_t rr = 0;
+  for (const SourceRdd* src : sources) {
+    for (int p = 0; p < src->num_partitions(); ++p) {
+      NodeIndex loc = SourceLocation(*src, p);
+      if (topo_.dc_of(loc) == central) continue;
+      NodeIndex dest = central_workers[rr++ % central_workers.size()];
+      const std::int64_t key = RelocationKey(src->id(), p);
+      ++*pending;
+      metrics_slot->num_tasks++;
+      job.AccountFlow(topo_, loc, dest, src->partition(p).bytes,
+                      FlowKind::kCentralize);
+      network_->StartFlow(loc, dest, src->partition(p).bytes,
+                          FlowKind::kCentralize, [this, key, dest, done_one] {
+                            relocations_[key] = dest;
+                            done_one();
+                          });
+    }
+  }
+  done_one();  // release the guard
 }
 
 // ---------------------------------------------------------------------------

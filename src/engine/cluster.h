@@ -34,6 +34,7 @@
 //   gs::RunResult ra = a.Wait(), rb = b.Wait();
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -237,7 +238,16 @@ class GeoCluster {
   // (source rdd id, partition) -> relocated node (Centralized scheme).
   std::unordered_map<std::int64_t, NodeIndex> relocations_;
 
-  DcIndex ChooseCentralDc(const RddPtr& final_rdd) const;
+  // Centralized scheme (Sec. V-A): copies every source partition of
+  // `final_rdd` outside the central datacenter — the one storing the most
+  // input bytes — onto its workers, accounting the moves and the
+  // relocation phase in `job`, then calls `start`. Under the other schemes
+  // calls `start` at once.
+  void CentralizeInputs(const RddPtr& final_rdd, JobMetrics& job,
+                        std::function<void()> start);
+  // Centralized scheme: JobRunner then keeps each task in its preferred
+  // datacenter (kDcOnly), as the inputs already sit there.
+  bool centralized() const { return config_.scheme == Scheme::kCentralized; }
 };
 
 }  // namespace gs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -34,18 +33,6 @@ constexpr double kFailurePoint = 0.5;
 constexpr double kSpeculationQuantile = 0.75;
 constexpr double kSpeculationMultiplier = 1.5;
 
-// Adaptive replanning (docs/ADAPTIVE.md). A receiver shard only moves when
-// the best alternative datacenter's estimated aggregation time beats the
-// current one by at least kReplanHysteresis, which damps oscillation
-// between near-equal datacenters. A push path counts as degraded, and its
-// shard falls back to fetch, when the link's estimated bandwidth drops
-// below kDegradeThreshold of its base rate. Replanner passes of one stage
-// are at least kMinReplanInterval apart; degradation events inside the
-// window are absorbed by the next pass.
-constexpr double kReplanHysteresis = 1.5;
-constexpr double kDegradeThreshold = 0.1;
-constexpr SimTime kMinReplanInterval = Seconds(1);
-
 // Spark's REDUCER_PREF_LOCS_FRACTION: a node storing at least this fraction
 // of a shard's input is preferred for its reduce task.
 constexpr double kReducerPrefFraction = 0.2;
@@ -71,9 +58,10 @@ JobRunner::JobRunner(GeoCluster& cluster, RddPtr final_rdd, ActionKind action,
       final_rdd_(std::move(final_rdd)),
       action_(action),
       rng_(std::move(rng)),
-      policy_(MakeAggregatorPolicy(cluster.config())),
       job_id_(job_id),
-      tenant_(tenant) {}
+      tenant_(tenant),
+      placement_(cluster, rng_, metrics_),
+      coded_(CodedExchange::Make(cluster, metrics_)) {}
 
 JobRunner::~JobRunner() {
   // Compute jobs of discarded attempts and dropped receiver inboxes are
@@ -103,11 +91,9 @@ void JobRunner::Start() {
   results_.resize(stage_run(result_stage_).stage.num_tasks());
 
   PruneCachedStages();
-  if (config_.scheme == Scheme::kCentralized) {
-    CentralizeInputsThenStart();
-  } else {
+  cluster_.CentralizeInputs(final_rdd_, metrics_, [this] {
     SubmitReadyStages();
-  }
+  });
 }
 
 RunResult JobRunner::TakeResult() {
@@ -125,24 +111,8 @@ RunResult JobRunner::TakeResult() {
     reg->counter("engine.map_resubmissions").Add(metrics_.map_resubmissions);
     reg->counter("engine.push_retries").Add(metrics_.push_retries);
     reg->counter("engine.push_fallbacks").Add(metrics_.push_fallbacks);
-    // Registered only under adaptivity so metric snapshots of non-adaptive
-    // runs stay identical to the seed goldens.
-    if (config_.adaptive.enabled) {
-      reg->counter("engine.adaptive_replans").Add(metrics_.replans);
-      reg->counter("engine.adaptive_receivers_moved")
-          .Add(metrics_.receivers_moved);
-      reg->counter("engine.adaptive_fallbacks")
-          .Add(metrics_.adaptive_fallbacks);
-    }
-    if (config_.coded.enabled) {
-      reg->counter("engine.coded_groups").Add(metrics_.coded_groups);
-      reg->counter("engine.coded_multicast_bytes")
-          .Add(metrics_.coded_multicast_bytes);
-      reg->counter("engine.coded_residual_bytes")
-          .Add(metrics_.coded_residual_bytes);
-      reg->counter("engine.coded_local_bytes")
-          .Add(metrics_.coded_local_bytes);
-    }
+    placement_.RegisterCounters(*reg);
+    if (coded_) coded_->RegisterCounters(*reg);
   }
 
   RunResult result;
@@ -244,27 +214,12 @@ void JobRunner::SubmitStage(StageId id) {
   // Pair a transfer producer with its receiver stage: decide the aggregator
   // datacenter now (Sec. IV-D: the datacenter storing the largest amount of
   // map input, known before the map runs), then co-submit the receiver so
-  // pushes pipeline with the producing tasks. Note: aggregator_dc on a
-  // StageRun always means "the datacenter this stage's *receiver* tasks
-  // land in"; a stage that both receives one transfer and produces the
-  // next (explicit transferTo -> map -> automatic transferTo) keeps its
-  // own receiver datacenter and assigns the new target to its consumer.
-  std::vector<DcIndex> transfer_targets;
-  if (sr.is_transfer_producer()) {
-    if (sr.stage.consumer_transfer->target_dc() != kNoDc) {
-      transfer_targets = {sr.stage.consumer_transfer->target_dc()};
-    } else {
-      const std::vector<Bytes> per_dc = StageInputPerDc(sr);
-      transfer_targets = ChooseAggregatorDcs(PolicyContext(), per_dc);
-    }
-    std::string target_names;
-    for (DcIndex dc : transfer_targets) {
-      if (!target_names.empty()) target_names += ", ";
-      target_names += topo_.datacenter(dc).name;
-    }
-    GS_LOG_INFO << "transferTo aggregator(s) for stage " << id << ": "
-                << target_names;
-  }
+  // pushes pipeline with the producing tasks. Note: a placement plan is
+  // always keyed by the stage whose *receiver* tasks land there; a stage
+  // that both receives one transfer and produces the next (explicit
+  // transferTo -> map -> automatic transferTo) keeps its own receiver
+  // datacenter and assigns the new target to its consumer.
+  if (sr.is_transfer_producer()) placement_.ChooseAggregators(sr.stage);
 
   // Create task states immediately; scheduling happens after the driver's
   // submit delay.
@@ -289,8 +244,6 @@ void JobRunner::SubmitStage(StageId id) {
       GS_CHECK_MSG(stage_runs_[parent]->done,
                    "receiver stage has unfinished shuffle parents");
     }
-    GS_CHECK(!transfer_targets.empty());
-    consumer.aggregator_dcs = transfer_targets;
     SubmitStage(sr.stage.transfer_consumer);
   }
 }
@@ -309,15 +262,9 @@ void JobRunner::LaunchTasks(StageId id) {
 void JobRunner::OnStageDone(StageId id) {
   StageRun& sr = stage_run(id);
   GS_CHECK(!sr.done);
-  // Coded shuffle: a shuffle-write stage completes only after the coded
-  // exchange consolidated every shard at its home datacenter — the barrier
-  // the reduce stage's placement and gathers rely on (docs/CODED.md). The
-  // exchange runs once; a re-completion after fetch-failure recovery skips
-  // it (the re-registered outputs are simply fetched from their producer).
-  if (config_.coded.enabled && !sr.coded_exchange_done &&
-      sr.stage.output == StageOutputKind::kShuffleWrite &&
-      sr.stage.consumer_shuffle != nullptr) {
-    StartCodedExchange(id);
+  // Coded shuffle: the exchange defers a shuffle-write stage's completion
+  // until every shard is consolidated (docs/CODED.md).
+  if (coded_ && coded_->Defer(sr.stage, [this, id] { OnStageDone(id); })) {
     return;
   }
   sr.done = true;
@@ -377,8 +324,8 @@ std::vector<NodeIndex> JobRunner::PreferredNodes(const StageRun& sr,
       std::vector<NodeIndex> prefs =
           cluster_.tracker().PreferredShardLocations(
               s.shuffle().id, cut.partition, kReducerPrefFraction);
-      if (config_.coded.enabled) {
-        AppendCodedAlternates(s.shuffle().id, cut.partition, &prefs);
+      if (coded_) {
+        coded_->AppendAlternates(s.shuffle().id, cut.partition, &prefs);
       }
       return prefs;
     }
@@ -390,7 +337,7 @@ std::vector<NodeIndex> JobRunner::PreferredNodes(const StageRun& sr,
 void JobRunner::SubmitTask(TaskRun& task) {
   StageRun& sr = stage_run(task.stage);
   TaskRequest request;
-  request.id = static_cast<TaskId>(task.stage) * 100000 + task.partition;
+  request.id = SchedulerTaskId(task);
   if (sr.is_receiver()) {
     // Receiver write phase: the pushed data already landed on task.node.
     GS_CHECK(task.node != kNoNode);
@@ -398,13 +345,11 @@ void JobRunner::SubmitTask(TaskRun& task) {
     request.policy = PlacementPolicy::kNodeOnly;
   } else {
     request.preferred = PreferredNodes(sr, task.partition);
-    if (config_.scheme == Scheme::kCentralized &&
-        !request.preferred.empty()) {
+    if (cluster_.centralized() && !request.preferred.empty()) {
       // "After all data is centralized within a cluster, Spark works
       // within a datacenter" (Sec. V-A): tasks never spill back out.
       request.policy = PlacementPolicy::kDcOnly;
-    } else if (config_.coded.enabled && !request.preferred.empty() &&
-               IsReducerStage(sr)) {
+    } else if (coded_ && !request.preferred.empty() && IsReducerStage(sr)) {
       // Coded shuffle: the exchange consolidated every shard at its home
       // datacenter (docs/CODED.md); a reducer scheduled anywhere else
       // re-fetches the consolidated shard across the WAN and forfeits
@@ -449,8 +394,15 @@ void JobRunner::OnAssigned(TaskRun& task, NodeIndex node) {
 
   // A transfer producer's assignment fixes the pairing for its receiver:
   // decide the receiver's destination node now, so the push can start the
-  // instant the producer finishes.
-  if (sr.is_transfer_producer()) PlaceReceiver(sr, task);
+  // instant the producer finishes. A producer retry keeps the placement.
+  if (sr.is_transfer_producer()) {
+    TaskRun& receiver =
+        *stage_run(sr.stage.transfer_consumer).tasks[task.partition];
+    if (receiver.node == kNoNode) {
+      receiver.producer_node = node;
+      receiver.node = placement_.Place(sr.stage.transfer_consumer, node);
+    }
+  }
 
   if (sr.is_receiver()) {
     // Receiver write phase: the slot was requested after the data landed.
@@ -483,7 +435,7 @@ void JobRunner::StartGather(TaskRun& task) {
   auto add_flow = [&](NodeIndex from, Bytes bytes, FlowKind kind) {
     ++task.pending_gathers;
     task.gather_srcs.push_back(from);
-    AccountFlow(from, task.node, bytes, kind);
+    metrics_.AccountFlow(topo_, from, task.node, bytes, kind);
     ShardTransfer transfer;
     transfer.src = from;
     transfer.dst = task.node;
@@ -669,15 +621,8 @@ void JobRunner::OnGatherDone(TaskRun& task) {
                     static_cast<double>(out.in_records + out.out_records);
   cpu *= StragglerFactor();
 
-  // Coded shuffle buys WAN locality with compute: each replicated map
-  // partition executes r times (once per replica datacenter, in parallel
-  // on spare slots, so the stage span is unchanged), and the job pays
-  // (r-1) extra copies of this task's compute seconds — the cost side of
-  // bench_coded's crossover (docs/CODED.md).
-  if (config_.coded.enabled &&
-      sr.stage.output == StageOutputKind::kShuffleWrite) {
-    metrics_.coded_replica_compute_seconds += (CodedR() - 1) * cpu;
-  }
+  // Coded shuffle: the replicated map executions' compute.
+  if (coded_) coded_->ChargeReplicas(sr.stage, cpu);
 
   // Store cache fills on this node once the compute finishes.
   TaskRun* t = &task;
@@ -789,9 +734,9 @@ void JobRunner::OnComputeDone(TaskRun& task, TaskComputeResult out) {
             }
             cluster_.tracker().RegisterMapOutput(sid, map_partition, t->node,
                                                  shard_bytes);
-            if (config_.coded.enabled) {
-              PutReplicaOutputs(sid, map_partition, t->node, recs,
-                                shard_bytes);
+            if (coded_) {
+              coded_->PutReplicaOutputs(sid, map_partition, t->node, recs,
+                                        shard_bytes);
             }
             FinishTask(*t);
           });
@@ -991,7 +936,7 @@ void JobRunner::ResubmitCompletedTask(StageRun& sr, TaskRun& task) {
     GS_CHECK(task.producer_done && task.inbox != nullptr);
     task.receiver_started = false;
     task.data_landed = false;
-    task.node = PickReceiverNode(sr, kNoNode);
+    task.node = placement_.PickNode(sr.stage.id, kNoNode);
     if (cluster_.scheduler().node_up(task.producer_node)) {
       TryDeliver(task);
     } else {
@@ -1066,7 +1011,7 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
     // the tenant's busy accounting (the slot itself died with the node).
     cluster_.scheduler().ReleaseSlot(receiver.node, tenant_);
     receiver.assigned = false;
-  } else if (receiver.data_landed && config_.adaptive.enabled) {
+  } else if (receiver.data_landed && placement_.adaptive()) {
     // The write-phase request is still queued, pinned kNodeOnly to the
     // crashed node — it would sit in the scheduler's queue until that
     // node restarts. The epoch bump above already orphaned it; lift the
@@ -1074,22 +1019,21 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
     // grant is released on delivery). Gated on adaptivity because the
     // extra grant/release cycle perturbs assignment order, and
     // non-adaptive runs must stay byte-identical to the seed goldens.
-    cluster_.scheduler().UpdatePreferences(
-        static_cast<TaskId>(receiver.stage) * 100000 + receiver.partition,
-        {}, PlacementPolicy::kAnyAfterWait);
+    cluster_.scheduler().UpdatePreferences(SchedulerTaskId(receiver), {},
+                                           PlacementPolicy::kAnyAfterWait);
   }
   receiver.receiver_started = false;
   receiver.data_landed = false;
   if (!receiver.producer_done) {
     // Nothing pushed yet: just re-place; the producer's push will follow
     // the new destination.
-    receiver.node = PickReceiverNode(consumer, receiver.node);
+    receiver.node = placement_.PickNode(consumer.stage.id, receiver.node);
     return;
   }
   if (!cluster_.scheduler().node_up(receiver.producer_node)) {
     // Double fault: the push source died too, so the retained output is
     // gone — recompute the producer, which will re-notify.
-    receiver.node = PickReceiverNode(consumer, kNoNode);
+    receiver.node = placement_.PickNode(consumer.stage.id, kNoNode);
     RerunProducer(receiver);
     return;
   }
@@ -1108,7 +1052,7 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
   }
   ++receiver.push_retries;
   ++metrics_.push_retries;
-  receiver.node = PickReceiverNode(consumer, kNoNode);
+  receiver.node = placement_.PickNode(consumer.stage.id, kNoNode);
   const SimTime backoff =
       kPushRetryBackoff *
       std::pow(kPushBackoffFactor, receiver.push_retries - 1);
@@ -1117,24 +1061,6 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
               << topo_.node(receiver.node).name << " after " << backoff
               << "s";
   sim_.Schedule(backoff, Guarded(receiver, &JobRunner::TryDeliver));
-}
-
-NodeIndex JobRunner::PickReceiverNode(StageRun& consumer, NodeIndex exclude) {
-  GS_CHECK(!consumer.aggregator_dcs.empty());
-  std::vector<NodeIndex> candidates;
-  for (DcIndex dc : consumer.aggregator_dcs) {
-    for (NodeIndex n : topo_.nodes_in(dc)) {
-      if (n != exclude && IsLiveWorker(n)) candidates.push_back(n);
-    }
-  }
-  if (candidates.empty()) {
-    // Aggregator subset fully down: spill to any live worker.
-    for (NodeIndex n = 0; n < topo_.num_nodes(); ++n) {
-      if (n != exclude && IsLiveWorker(n)) candidates.push_back(n);
-    }
-  }
-  GS_CHECK_MSG(!candidates.empty(), "no live worker to host a receiver");
-  return candidates[consumer.rr_next++ % candidates.size()];
 }
 
 StageId JobRunner::StageWritingShuffle(ShuffleId sid) const {
@@ -1153,182 +1079,62 @@ StageId JobRunner::StageWritingShuffle(ShuffleId sid) const {
 // ---------------------------------------------------------------------------
 
 void JobRunner::OnWanDegraded(DcIndex src, DcIndex dst) {
-  if (job_done_ || !config_.adaptive.enabled) return;
-  // A pinned plan (the offline-oracle bench arm) never moves.
-  if (config_.adaptive.pin_dc != kNoDc) return;
+  if (job_done_ || !placement_.ReplansOnWanChange()) return;
   GS_LOG_INFO << "adaptive: WAN change on dc" << src << "->dc" << dst
               << ", replanning job " << job_id_;
   ReplanReceivers();
 }
 
 void JobRunner::ReplanReceivers() {
-  const SimTime now = sim_.Now();
   for (auto& srp : stage_runs_) {
     StageRun& consumer = *srp;
     if (!consumer.is_receiver()) continue;
     if (!consumer.submitted || consumer.done || consumer.skipped) continue;
-    // Rate limit: at most one pass per kMinReplanInterval of *strictly
-    // later* time. Several degradation events landing at the same instant
-    // (a fault plan collapsing a whole ingress at once) each re-run the
-    // pass, so the last one sees every link already degraded. An event
-    // inside the window schedules one catch-up pass at its end instead of
-    // being dropped — the documented "absorbed by the next pass".
-    const SimTime elapsed =
-        consumer.last_replan < 0 ? -1 : now - consumer.last_replan;
-    if (elapsed > 0 && elapsed < kMinReplanInterval) {
-      if (!consumer.replan_pending) {
-        consumer.replan_pending = true;
-        const StageId sid = consumer.stage.id;
-        sim_.ScheduleAt(consumer.last_replan + kMinReplanInterval,
-                        [this, sid] {
-                          StageRun& sr = stage_run(sid);
-                          sr.replan_pending = false;
-                          if (job_done_ || sr.done || sr.skipped) return;
-                          sr.last_replan = sim_.Now();
-                          if (ReplanStage(sr)) ++metrics_.replans;
-                        });
-      }
-      continue;
-    }
-    consumer.last_replan = now;
-    if (ReplanStage(consumer)) ++metrics_.replans;
+    const StageId id = consumer.stage.id;
+    placement_.RateLimit(id, [this, id] {
+      StageRun& sr = stage_run(id);
+      if (job_done_ || sr.done || sr.skipped) return false;
+      if (ReplanStage(sr)) ++metrics_.replans;
+      return true;
+    });
   }
 }
 
 bool JobRunner::ReplanStage(StageRun& consumer) {
-  StageRun& producer_sr = stage_run(consumer.stage.transfer_producer);
-  if (producer_sr.stage.consumer_transfer->target_dc() != kNoDc) {
-    return false;  // the application pinned this transfer's destination
-  }
-  const std::vector<Bytes> per_dc = StageInputPerDc(producer_sr);
-  const AggregatorPlacementPolicy::Context ctx = PolicyContext();
-  std::vector<DcIndex> ranking = ChooseAggregatorDcs(ctx, per_dc);
-
-  // Hysteresis on the primary choice: abandon the current subset only when
-  // the policy scores the new best at least kReplanHysteresis times
-  // cheaper — an estimate barely better than the incumbent is noise, and
-  // moving on it would thrash placements on every jitter wobble. The static policy
-  // scores every datacenter 0, so it can never trigger a move.
-  bool retargeted = false;
-  if (ranking != consumer.aggregator_dcs) {
-    const double cur =
-        policy_->Score(ctx, per_dc, consumer.aggregator_dcs.front());
-    const double alt = policy_->Score(ctx, per_dc, ranking.front());
-    if (alt * kReplanHysteresis < cur) {
-      GS_LOG_INFO << "replan: stage " << consumer.stage.id << " aggregator "
-                  << topo_.datacenter(consumer.aggregator_dcs.front()).name
-                  << " -> " << topo_.datacenter(ranking.front()).name
-                  << " (est. " << cur << "s -> " << alt << "s)";
-      consumer.aggregator_dcs = std::move(ranking);
-      retargeted = true;
-    }
-  }
+  const std::optional<bool> retargeted =
+      placement_.Retarget(stage_run(consumer.stage.transfer_producer).stage);
+  if (!retargeted) return false;
 
   // Per-shard pass over receivers whose push has not started (placed but
   // nothing in flight; the producer's eventual push follows receiver.node
   // read at delivery time, so moving them costs nothing). Shards already
   // pushing or landed keep their placement — their WAN cost is paid.
-  int moved = 0;
-  int fallbacks = 0;
+  bool changed = *retargeted;
   for (auto& tp : consumer.tasks) {
     TaskRun& r = *tp;
     if (r.done || r.push_fallback || r.receiver_started ||
         r.node == kNoNode) {
       continue;
     }
-    NodeIndex target = r.node;
-    const DcIndex cur_dc = topo_.dc_of(r.node);
-    const auto& targets = consumer.aggregator_dcs;
-    if (retargeted &&
-        std::find(targets.begin(), targets.end(), cur_dc) == targets.end()) {
-      // The shard sits in a dropped datacenter. Mirror PlaceReceiver:
-      // transparent co-location when the producer is inside the new
-      // subset, round-robin over the subset's live workers otherwise.
-      if (r.producer_node != kNoNode &&
-          std::find(targets.begin(), targets.end(),
-                    topo_.dc_of(r.producer_node)) != targets.end()) {
-        target = r.producer_node;
-      } else {
-        target = PickReceiverNode(consumer, r.node);
-      }
-    }
-
-    // Per-shard push->fetch fallback: when the push path into the chosen
-    // datacenter has measurably collapsed — effective bandwidth below
-    // kDegradeThreshold of the link's base rate — keep the shard on its
-    // producer (a co-located no-op write) and let downstream reducers
-    // fetch it. The mid-job analogue of RecoverReceiver's terminal
-    // fallback, triggered by measurement instead of exhausted retries.
-    if (r.producer_node != kNoNode &&
-        topo_.dc_of(r.producer_node) != topo_.dc_of(target)) {
-      const DcIndex src_dc = topo_.dc_of(r.producer_node);
-      const DcIndex dst_dc = topo_.dc_of(target);
-      const int link = topo_.wan_link_index(src_dc, dst_dc);
-      if (link >= 0 &&
-          cluster_.network().EstimateWanBandwidth(
-              src_dc, dst_dc, kBandwidthEstimateWindow) <
-              kDegradeThreshold * topo_.wan_link(link).base_rate) {
-        target = r.producer_node;
-        r.push_fallback = true;
-        ++fallbacks;
-        GS_LOG_INFO << "adaptive fallback: stage " << consumer.stage.id
-                    << "/" << r.partition << " degrades to fetch from "
-                    << topo_.node(target).name;
-      }
-    }
-
-    if (target == r.node) continue;
-    r.node = target;
-    if (!r.push_fallback) ++moved;
+    const ReceiverPlacement::Move move = placement_.ReplanShard(
+        consumer.stage.id, *retargeted, r.partition, r.node, r.producer_node);
+    r.push_fallback = move.fallback;
+    changed = changed || move.fallback;
+    if (move.node == r.node) continue;
+    r.node = move.node;
+    changed = true;
     // If the producer already finished (the shard was in a push-retry
     // backoff), deliver to the new node right away — the pending backoff
     // event no-ops on receiver_started. Otherwise the producer's push
     // will read the new node when it fires.
     TryDeliver(r);
   }
-  metrics_.receivers_moved += moved;
-  metrics_.adaptive_fallbacks += fallbacks;
-  return retargeted || moved > 0 || fallbacks > 0;
+  return changed;
 }
 
 // ---------------------------------------------------------------------------
 // Transfer (push) path
 // ---------------------------------------------------------------------------
-
-void JobRunner::PlaceReceiver(StageRun& producer_sr, TaskRun& producer_task) {
-  StageRun& consumer = stage_run(producer_sr.stage.transfer_consumer);
-  TaskRun& receiver = *consumer.tasks[producer_task.partition];
-  if (receiver.node != kNoNode) return;  // producer retry: keep placement
-  receiver.producer_node = producer_task.node;
-  const std::vector<DcIndex>& targets = consumer.aggregator_dcs;
-  GS_CHECK(!targets.empty());
-  const DcIndex producer_dc = topo_.dc_of(producer_task.node);
-  if (std::find(targets.begin(), targets.end(), producer_dc) !=
-      targets.end()) {
-    // Already in an aggregator datacenter: the transferTo task is
-    // transparent (Sec. IV-C2) — no data moves.
-    receiver.node = producer_task.node;
-    return;
-  }
-  // Mimic the Task Scheduler's host-level pick within the aggregator
-  // subset: spread receivers round-robin over datacenters, then workers.
-  // Only live workers qualify — a receiver pinned to a crashed executor
-  // accepts the push and then waits forever for a slot (its write phase is
-  // kNodeOnly, which never spills). If the chosen datacenter has no live
-  // worker, fall back to recovery's pick over the whole subset.
-  const int cursor = consumer.rr_next++;
-  const DcIndex dc = targets[cursor % targets.size()];
-  std::vector<NodeIndex> workers;
-  for (NodeIndex n : topo_.nodes_in(dc)) {
-    if (IsLiveWorker(n)) workers.push_back(n);
-  }
-  if (workers.empty()) {
-    receiver.node = PickReceiverNode(consumer, kNoNode);
-    return;
-  }
-  receiver.node =
-      workers[(cursor / targets.size()) % workers.size()];
-}
 
 void JobRunner::NotifyReceiver(StageRun& producer_sr, TaskRun& producer_task,
                                std::vector<Record> records,
@@ -1360,8 +1166,8 @@ void JobRunner::TryDeliver(TaskRun& receiver) {
     sim_.Schedule(kLocalHandoff,
                   Guarded(receiver, &JobRunner::ReceiverGotData));
   } else {
-    AccountFlow(receiver.producer_node, receiver.node, receiver.inbox_bytes,
-                FlowKind::kShufflePush);
+    metrics_.AccountFlow(topo_, receiver.producer_node, receiver.node,
+                         receiver.inbox_bytes, FlowKind::kShufflePush);
     ShardTransfer transfer;
     transfer.src = receiver.producer_node;
     transfer.dst = receiver.node;
@@ -1461,51 +1267,12 @@ void JobRunner::RerunProducer(TaskRun& receiver) {
 // Helpers
 // ---------------------------------------------------------------------------
 
-void JobRunner::AccountFlow(NodeIndex src, NodeIndex dst, Bytes bytes,
-                            FlowKind kind) {
-  if (topo_.dc_of(src) == topo_.dc_of(dst)) return;
-  switch (kind) {
-    case FlowKind::kShuffleFetch:
-      metrics_.cross_dc_fetch_bytes += bytes;
-      break;
-    case FlowKind::kShufflePush:
-      metrics_.cross_dc_push_bytes += bytes;
-      break;
-    case FlowKind::kCentralize:
-      metrics_.cross_dc_centralize_bytes += bytes;
-      break;
-    case FlowKind::kCodedMulticast:
-      // Accounted per leg (one call per receiving datacenter), mirroring
-      // the TrafficMeter's per-leg charge.
-      metrics_.coded_multicast_bytes += bytes;
-      break;
-    case FlowKind::kCollect:
-      // Driver traffic is excluded from the paper's Fig. 8 metric.
-      return;
-    case FlowKind::kStorePut:
-    case FlowKind::kStoreGet:
-    case FlowKind::kFabric:
-      // Transport-internal kinds never reach per-job accounting: the
-      // runner accounts the logical fetch/push before handing the leg to
-      // the transport (so these metrics mean the same under every
-      // backend).
-      return;
-    case FlowKind::kOther:
-      break;
-  }
-  metrics_.cross_dc_bytes += bytes;
-}
-
 void JobRunner::CommitCacheFills(
     NodeIndex node, const std::vector<EvalResult::CacheFill>& fills) {
   for (const EvalResult::CacheFill& fill : fills) {
     cluster_.blocks().Put(node, BlockId::Cached(fill.rdd, fill.partition),
                           fill.records);
   }
-}
-
-bool JobRunner::IsLiveWorker(NodeIndex n) const {
-  return topo_.node(n).worker && cluster_.scheduler().node_up(n);
 }
 
 double JobRunner::StragglerFactor() {
@@ -1524,530 +1291,16 @@ bool JobRunner::IsReducerStage(const StageRun& sr) const {
   return false;
 }
 
-std::vector<Bytes> JobRunner::StageInputPerDc(const StageRun& producer_sr) {
-  std::vector<Bytes> per_dc(topo_.num_datacenters(), 0);
-  for (int p = 0; p < producer_sr.stage.num_tasks(); ++p) {
-    EvalCut cut = FindEvalCut(*producer_sr.stage.output_rdd, p,
-                              cluster_.blocks());
-    if (cut.is_cached_cut) {
-      // Credit the nearest *live* replica — the node the stage's task will
-      // actually read from. The first registered location may sit on a
-      // down executor, and weighting its datacenter pulls the aggregator
-      // toward a node that cannot even serve the block.
-      const BlockId bid = BlockId::Cached(cut.rdd->id(), cut.partition);
-      NodeIndex live = kNoNode;
-      for (NodeIndex n : cluster_.blocks().Locations(bid)) {
-        if (cluster_.scheduler().node_up(n)) {
-          live = n;
-          break;
-        }
-      }
-      if (live == kNoNode) {
-        GS_LOG_INFO << "aggregator choice: cached rdd" << cut.rdd->id()
-                    << "/" << cut.partition
-                    << " has no live replica; counting 0 bytes";
-        CountPlacementMiss();
-        continue;
-      }
-      std::optional<Block> b = cluster_.blocks().Get(live, bid);
-      if (!b) {
-        GS_LOG_INFO << "aggregator choice: cached rdd" << cut.rdd->id()
-                    << "/" << cut.partition << " missing on "
-                    << topo_.node(live).name << "; counting 0 bytes";
-        CountPlacementMiss();
-      }
-      per_dc[topo_.dc_of(live)] += b ? b->bytes : 0;
-      continue;
-    }
-    switch (cut.rdd->kind()) {
-      case RddKind::kSource: {
-        const auto& src = static_cast<const SourceRdd&>(*cut.rdd);
-        NodeIndex loc = cluster_.SourceLocation(src, cut.partition);
-        per_dc[topo_.dc_of(loc)] += src.partition(cut.partition).bytes;
-        break;
-      }
-      case RddKind::kShuffled: {
-        const auto& s = static_cast<const ShuffledRdd&>(*cut.rdd);
-        const ShuffleId sid = s.shuffle().id;
-        const int num_maps = cluster_.tracker().num_map_partitions(sid);
-        for (int m = 0; m < num_maps; ++m) {
-          const MapOutputLocation& out =
-              cluster_.tracker().Output(sid, m, cut.partition);
-          if (out.node != kNoNode) {
-            per_dc[topo_.dc_of(out.node)] += out.bytes;
-          }
-        }
-        break;
-      }
-      case RddKind::kTransferred: {
-        // This stage's input arrives through its own receiver tasks; it
-        // lives in the stage's (already decided) aggregator subset.
-        // Weight by partition count — all partitions land there.
-        GS_CHECK(!producer_sr.aggregator_dcs.empty());
-        for (DcIndex dc : producer_sr.aggregator_dcs) per_dc[dc] += 1;
-        break;
-      }
-      default:
-        GS_CHECK_MSG(false, "unexpected boundary while choosing aggregator");
-    }
-  }
-  return per_dc;
-}
-
-// ---------------------------------------------------------------------------
-// Coded shuffle (docs/CODED.md)
-// ---------------------------------------------------------------------------
-
-int JobRunner::CodedR() const {
-  return std::min(config_.coded.redundancy_r, topo_.num_datacenters());
-}
-
-NodeIndex JobRunner::CodedNodeInDc(DcIndex dc, int salt) const {
-  std::vector<NodeIndex> workers;
-  for (NodeIndex n : topo_.nodes_in(dc)) {
-    if (topo_.node(n).worker) workers.push_back(n);
-  }
-  if (workers.empty()) return kNoNode;
-  const int count = static_cast<int>(workers.size());
-  for (int i = 0; i < count; ++i) {
-    const NodeIndex cand = workers[(salt + i) % count];
-    if (cluster_.scheduler().node_up(cand)) return cand;
-  }
-  return workers[salt % count];
-}
-
-void JobRunner::PutReplicaOutputs(ShuffleId sid, int map_partition,
-                                  NodeIndex primary,
-                                  const std::vector<RecordsPtr>& shard_records,
-                                  const std::vector<Bytes>& shard_bytes) {
-  const int num_dcs = topo_.num_datacenters();
-  const DcIndex primary_dc = topo_.dc_of(primary);
-  for (int j = 1; j < CodedR(); ++j) {
-    const DcIndex dc = (primary_dc + j) % num_dcs;
-    const NodeIndex mirror = CodedNodeInDc(dc, map_partition);
-    if (mirror == kNoNode || !cluster_.scheduler().node_up(mirror)) continue;
-    for (int k = 0; k < static_cast<int>(shard_records.size()); ++k) {
-      cluster_.blocks().PutWithSize(mirror,
-                                    BlockId::Shuffle(sid, map_partition, k),
-                                    shard_records[k], shard_bytes[k]);
-    }
-  }
-}
-
-void JobRunner::StartCodedExchange(StageId id) {
-  StageRun& sr = stage_run(id);
-  const ShuffleId sid = sr.stage.consumer_shuffle->shuffle().id;
-  MapOutputTracker& tracker = cluster_.tracker();
-  const int num_maps = tracker.num_map_partitions(sid);
-  const int num_shards = tracker.num_shards(sid);
-  const int num_dcs = topo_.num_datacenters();
-  const int r = CodedR();
-
-  sr.coded_pending = 1;  // guard, released once every transfer is launched
-
-  // Ring replica set of map m: the primary's datacenter plus the next r-1.
-  std::vector<DcIndex> primary_dc(num_maps, kNoDc);
-  for (int m = 0; m < num_maps; ++m) {
-    const NodeIndex p = tracker.primary_node(sid, m);
-    if (p != kNoNode) primary_dc[m] = topo_.dc_of(p);
-  }
-  auto holds = [&](int m, DcIndex d) {
-    if (primary_dc[m] == kNoDc) return false;
-    return ((d - primary_dc[m]) % num_dcs + num_dcs) % num_dcs < r;
-  };
-
-  struct Segment {
-    int m = 0;
-    int k = 0;
-    DcIndex home = 0;         // datacenter the shard consolidates into
-    NodeIndex dst = kNoNode;  // landing node inside `home`
-    Bytes bytes = 0;
-  };
-  std::vector<Segment> wan;  // segments with no replica in their home DC
-
-  std::vector<std::vector<NodeIndex>>& prefs = coded_prefs_[sid];
-  prefs.assign(num_shards, {});
-
-  // Per-shard replica-inclusive shares: share[k][d] counts every segment
-  // of shard k with a ring replica in datacenter d (free for k there).
-  std::vector<std::vector<Bytes>> share(
-      num_shards, std::vector<Bytes>(num_dcs, 0));
-  for (int m = 0; m < num_maps; ++m) {
-    if (primary_dc[m] == kNoDc) continue;
-    for (int k = 0; k < num_shards; ++k) {
-      const Bytes b = tracker.Output(sid, m, k).bytes;
-      for (int j = 0; j < r; ++j) {
-        share[k][(primary_dc[m] + j) % num_dcs] += b;
-      }
-    }
-  }
-
-  // Home assignment: argmax of the share, so every byte replicated into
-  // the home stays off the WAN (on a point-to-point mesh the XOR multicast
-  // is byte-neutral, so locality is where the entire WAN saving comes
-  // from). One wrinkle: under a hash partitioner all shards see
-  // statistically identical per-DC distributions, so a pure argmax can
-  // collapse every home into one datacenter — and the XOR grouping below
-  // needs pairwise-distinct, ring-compatible homes to form any group. Two
-  // homes h, h' can anchor a group iff primaries p_a, p_b exist whose
-  // rings make the pair mutually decodable with a common serving DC.
-  auto pairable = [&](DcIndex h, DcIndex hp) {
-    if (h == hp) return true;  // trivially co-homed; never anchors a group
-    auto in_ring = [&](DcIndex d, DcIndex p) {
-      return ((d - p) % num_dcs + num_dcs) % num_dcs < r;
-    };
-    for (DcIndex pa = 0; pa < num_dcs; ++pa) {
-      if (!in_ring(hp, pa) || in_ring(h, pa)) continue;
-      for (DcIndex pb = 0; pb < num_dcs; ++pb) {
-        if (!in_ring(h, pb) || in_ring(hp, pb)) continue;
-        for (DcIndex c = 0; c < num_dcs; ++c) {
-          if (in_ring(c, pa) && in_ring(c, pb)) return true;
-        }
-      }
-    }
-    return false;
-  };
-  std::vector<DcIndex> home_of(num_shards, kNoDc);
-  for (int k = 0; k < num_shards; ++k) {
-    DcIndex home = 0;
-    for (DcIndex d = 1; d < num_dcs; ++d) {
-      if (share[k][d] > share[k][home]) home = d;
-    }
-    home_of[k] = home;
-  }
-  // If no two assigned homes can anchor a group, re-home the single shard
-  // with the smallest byte regret to the compatible datacenter closest to
-  // its argmax share — minimal diversification, bounded byte cost.
-  bool diverse = false;
-  for (int a = 0; a < num_shards && !diverse; ++a) {
-    for (int b = a + 1; b < num_shards && !diverse; ++b) {
-      diverse = home_of[a] != home_of[b] && pairable(home_of[a], home_of[b]);
-    }
-  }
-  if (!diverse && num_shards >= 2) {
-    int best_k = -1;
-    DcIndex best_d = kNoDc;
-    Bytes best_regret = 0;
-    for (int k = 0; k < num_shards; ++k) {
-      for (DcIndex d = 0; d < num_dcs; ++d) {
-        if (d == home_of[k]) continue;
-        bool anchors = false;
-        for (int o = 0; o < num_shards && !anchors; ++o) {
-          anchors = o != k && home_of[o] != d && pairable(home_of[o], d);
-        }
-        if (!anchors) continue;
-        const Bytes regret = share[k][home_of[k]] - share[k][d];
-        if (best_k < 0 || regret < best_regret) {
-          best_k = k;
-          best_d = d;
-          best_regret = regret;
-        }
-      }
-    }
-    if (best_k >= 0) home_of[best_k] = best_d;
-  }
-
-  for (int k = 0; k < num_shards; ++k) {
-    const DcIndex home = home_of[k];
-    const NodeIndex landing = CodedNodeInDc(home, k);
-    if (landing == kNoNode) continue;  // workerless datacenter
-
-    // Reduce-side preference: the landing node first, then the other
-    // workers of the home datacenter. SubmitTask pins coded reducers to
-    // the preferred nodes' datacenters (kDcOnly), so every listed node
-    // must keep the consolidated shard read off the WAN — a busy landing
-    // node spills to a neighbour in the same datacenter, never to a
-    // remote one that would re-fetch the whole shard cross-DC.
-    prefs[k].push_back(landing);
-    for (NodeIndex n : topo_.nodes_in(home)) {
-      if (n != landing && topo_.node(n).worker) prefs[k].push_back(n);
-    }
-
-    for (int m = 0; m < num_maps; ++m) {
-      const MapOutputLocation& out = tracker.Output(sid, m, k);
-      if (out.node == kNoNode || primary_dc[m] == kNoDc) continue;
-      if (out.bytes == 0) {
-        // Nothing to move; land the (empty) block so gathers find it.
-        DeliverCodedSegment(sid, m, k, out.node, landing);
-        continue;
-      }
-      Segment seg;
-      seg.m = m;
-      seg.k = k;
-      seg.home = home;
-      seg.dst = landing;
-      seg.bytes = out.bytes;
-      if (holds(m, home)) {
-        // A replica already sits in the home datacenter: consolidate onto
-        // the landing node with an intra-DC copy (NIC time, no WAN).
-        const NodeIndex holder =
-            home == primary_dc[m] ? out.node : CodedNodeInDc(home, m);
-        if (holder != kNoNode &&
-            cluster_.blocks().Has(holder, BlockId::Shuffle(sid, m, k))) {
-          metrics_.coded_local_bytes += out.bytes;
-          if (holder == landing) {
-            DeliverCodedSegment(sid, m, k, holder, landing);
-            continue;
-          }
-          ++sr.coded_pending;
-          cluster_.network().StartFlow(
-              holder, landing, out.bytes, FlowKind::kOther,
-              [this, id, sid, seg, holder] {
-                DeliverCodedSegment(sid, seg.m, seg.k, holder, seg.dst);
-                CodedTransferDone(id);
-              });
-          continue;
-        }
-        // The in-home replica vanished (mirror died): fall through to WAN.
-      }
-      wan.push_back(seg);
-    }
-  }
-
-  // XOR groups (Coded MapReduce): up to r segments with pairwise
-  // distinct home datacenters, replicated together in some serving
-  // datacenter, where each receiver already holds every other member — so
-  // one multicast of the shortest member's length serves the whole group
-  // and each home XORs out its own segment. Longer members' uncoded tails
-  // go unicast. Greedy and deterministic over (shard, map) order.
-  int groups = 0;
-  std::vector<bool> used(wan.size(), false);
-  for (std::size_t i = 0; i < wan.size(); ++i) {
-    if (used[i]) continue;
-    std::vector<std::size_t> group = {i};
-    for (std::size_t j = i + 1;
-         j < wan.size() && static_cast<int>(group.size()) < r; ++j) {
-      if (used[j]) continue;
-      bool ok = true;
-      for (std::size_t g : group) {
-        if (wan[g].home == wan[j].home || !holds(wan[g].m, wan[j].home) ||
-            !holds(wan[j].m, wan[g].home)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      bool have_server = false;
-      for (DcIndex c = 0; c < num_dcs && !have_server; ++c) {
-        bool all = holds(wan[j].m, c);
-        for (std::size_t g : group) all = all && holds(wan[g].m, c);
-        have_server = all;
-      }
-      if (have_server) group.push_back(j);
-    }
-    for (std::size_t g : group) used[g] = true;
-
-    if (group.size() < 2) {
-      // Ungroupable: plain unicast of the whole segment from its primary.
-      const Segment& seg = wan[i];
-      const NodeIndex primary = tracker.primary_node(sid, seg.m);
-      metrics_.coded_residual_bytes += seg.bytes;
-      AccountFlow(primary, seg.dst, seg.bytes, FlowKind::kShuffleFetch);
-      ++sr.coded_pending;
-      cluster_.network().StartFlow(
-          primary, seg.dst, seg.bytes, FlowKind::kShuffleFetch,
-          [this, id, sid, seg, primary] {
-            DeliverCodedSegment(sid, seg.m, seg.k, primary, seg.dst);
-            CodedTransferDone(id);
-          });
-      continue;
-    }
-
-    // Serving datacenter: the smallest index replicating every member; the
-    // coder node is the first member's holder there (intra-DC assembly of
-    // the other members' segments is not charged — see docs/CODED.md).
-    DcIndex serve = kNoDc;
-    for (DcIndex c = 0; c < num_dcs && serve == kNoDc; ++c) {
-      bool all = true;
-      for (std::size_t g : group) all = all && holds(wan[g].m, c);
-      if (all) serve = c;
-    }
-    GS_CHECK(serve != kNoDc);
-    const Segment& first = wan[group[0]];
-    const NodeIndex coder = serve == primary_dc[first.m]
-                                ? tracker.primary_node(sid, first.m)
-                                : CodedNodeInDc(serve, first.m);
-    Bytes packet = first.bytes;
-    for (std::size_t g : group) packet = std::min(packet, wan[g].bytes);
-
-    ++groups;
-    ++metrics_.coded_groups;
-    // A member's block lands once both its coded packet (the multicast
-    // completing) and its uncoded tail arrived.
-    struct PendingDelivery {
-      Segment seg;
-      NodeIndex holder = kNoNode;
-      int parts = 0;
-    };
-    auto pend = std::make_shared<std::vector<PendingDelivery>>();
-    std::vector<NodeIndex> dsts;
-    for (std::size_t g : group) {
-      const Segment& seg = wan[g];
-      dsts.push_back(seg.dst);
-      AccountFlow(coder, seg.dst, packet, FlowKind::kCodedMulticast);
-      pend->push_back({seg, tracker.primary_node(sid, seg.m),
-                       seg.bytes > packet ? 2 : 1});
-    }
-    sr.coded_pending += static_cast<int>(group.size());
-    auto part_done = [this, id, sid, pend](std::size_t idx) {
-      PendingDelivery& p = (*pend)[idx];
-      if (--p.parts > 0) return;
-      DeliverCodedSegment(sid, p.seg.m, p.seg.k, p.holder, p.seg.dst);
-      CodedTransferDone(id);
-    };
-    cluster_.network().StartMulticastFlow(
-        coder, dsts, packet, FlowKind::kCodedMulticast,
-        [part_done, n = pend->size()] {
-          for (std::size_t x = 0; x < n; ++x) part_done(x);
-        });
-    for (std::size_t idx = 0; idx < pend->size(); ++idx) {
-      const PendingDelivery& p = (*pend)[idx];
-      const Bytes tail = p.seg.bytes - packet;
-      if (tail <= 0) continue;
-      metrics_.coded_residual_bytes += tail;
-      AccountFlow(p.holder, p.seg.dst, tail, FlowKind::kShuffleFetch);
-      cluster_.network().StartFlow(p.holder, p.seg.dst, tail,
-                                   FlowKind::kShuffleFetch,
-                                   [part_done, idx] { part_done(idx); });
-    }
-  }
-
-  GS_LOG_INFO << "coded exchange: stage " << id << " shuffle " << sid << ": "
-              << groups << " multicast group(s), " << sr.coded_pending - 1
-              << " transfer(s) in flight";
-  CodedTransferDone(id);  // release the guard
-}
-
-void JobRunner::DeliverCodedSegment(ShuffleId sid, int m, int k,
-                                    NodeIndex holder, NodeIndex dst) {
-  if (!cluster_.tracker().MapOutputRegistered(sid, m)) {
-    return;  // invalidated while the transfer was in flight
-  }
-  const BlockId bid = BlockId::Shuffle(sid, m, k);
-  std::optional<Block> b = cluster_.blocks().Get(holder, bid);
-  if (!b) {
-    // The source copy vanished mid-flight (crash): leave the tracker
-    // alone; a reducer's fetch failure triggers the normal recovery.
-    return;
-  }
-  if (holder != dst) {
-    cluster_.blocks().PutWithSize(dst, bid, b->records, b->bytes);
-  }
-  cluster_.tracker().RelocateShard(sid, m, k, dst);
-}
-
-void JobRunner::CodedTransferDone(StageId id) {
-  StageRun& sr = stage_run(id);
-  GS_CHECK(sr.coded_pending > 0);
-  if (--sr.coded_pending > 0) return;
-  sr.coded_exchange_done = true;
-  OnStageDone(id);
-}
-
-void JobRunner::AppendCodedAlternates(ShuffleId sid, int shard,
-                                      std::vector<NodeIndex>* prefs) const {
-  auto it = coded_prefs_.find(sid);
-  if (it == coded_prefs_.end() ||
-      shard >= static_cast<int>(it->second.size())) {
-    return;
-  }
-  for (NodeIndex n : it->second[shard]) {
-    if (std::find(prefs->begin(), prefs->end(), n) == prefs->end()) {
-      prefs->push_back(n);
-    }
-  }
-}
-
-void JobRunner::CountPlacementMiss() {
-  ++metrics_.placement_misses;
-  if (MetricsRegistry* reg = cluster_.metrics_registry()) {
-    // Registered lazily at the first miss so healthy runs' metric
-    // snapshots stay byte-identical to the seed goldens.
-    reg->counter("engine.placement_misses").Add(1);
-  }
-}
-
-AggregatorPlacementPolicy::Context JobRunner::PolicyContext() {
-  AggregatorPlacementPolicy::Context ctx;
-  ctx.topo = &topo_;
-  ctx.net = &cluster_.network();
-  ctx.config = &config_;
-  ctx.rng = &rng_;
-  return ctx;
-}
-
-std::vector<DcIndex> JobRunner::ChooseAggregatorDcs(
-    const AggregatorPlacementPolicy::Context& ctx,
-    const std::vector<Bytes>& per_dc) {
-  std::vector<DcIndex> ranking = policy_->Rank(ctx, per_dc);
-  GS_CHECK(static_cast<int>(ranking.size()) == topo_.num_datacenters());
-  const int k = std::clamp(config_.aggregator_dc_count, 1,
-                           topo_.num_datacenters());
-  ranking.resize(k);
-  return ranking;
-}
-
-void JobRunner::CentralizeInputsThenStart() {
-  const DcIndex central = cluster_.ChooseCentralDc(final_rdd_);
-
-  // Collect every source RDD reachable from the final RDD.
-  std::vector<const SourceRdd*> sources;
-  std::vector<const Rdd*> visited;
-  std::function<void(const Rdd&)> walk = [&](const Rdd& rdd) {
-    for (const Rdd* v : visited) {
-      if (v == &rdd) return;
-    }
-    visited.push_back(&rdd);
-    if (rdd.kind() == RddKind::kSource) {
-      sources.push_back(static_cast<const SourceRdd*>(&rdd));
-    }
-    for (const RddPtr& p : rdd.parents()) walk(*p);
-  };
-  walk(*final_rdd_);
-
-  const std::vector<NodeIndex>& central_nodes = topo_.nodes_in(central);
-  std::vector<NodeIndex> central_workers;
-  for (NodeIndex n : central_nodes) {
-    if (topo_.node(n).worker) central_workers.push_back(n);
-  }
-  GS_CHECK(!central_workers.empty());
-
-  StageMetrics relocation;
-  relocation.id = -1;
-  relocation.name = "input-centralization";
-  relocation.submitted = sim_.Now();
-  relocation.first_task_started = sim_.Now();
-
-  auto pending = std::make_shared<int>(1);
-  auto metrics_slot = std::make_shared<StageMetrics>(relocation);
-  auto done_one = [this, pending, metrics_slot] {
-    if (--*pending == 0) {
-      metrics_slot->completed = sim_.Now();
-      metrics_.stages.push_back(*metrics_slot);
-      SubmitReadyStages();
-    }
-  };
-
-  std::size_t rr = 0;
-  for (const SourceRdd* src : sources) {
-    for (int p = 0; p < src->num_partitions(); ++p) {
-      NodeIndex loc = cluster_.SourceLocation(*src, p);
-      if (topo_.dc_of(loc) == central) continue;
-      NodeIndex dest = central_workers[rr++ % central_workers.size()];
-      const std::int64_t key =
-          (static_cast<std::int64_t>(src->id()) << 32) | p;
-      ++*pending;
-      metrics_slot->num_tasks++;
-      AccountFlow(loc, dest, src->partition(p).bytes, FlowKind::kCentralize);
-      cluster_.network().StartFlow(
-          loc, dest, src->partition(p).bytes, FlowKind::kCentralize,
-          [this, key, dest, done_one] {
-            cluster_.relocations_[key] = dest;
-            done_one();
-          });
-    }
-  }
-  done_one();  // release the guard
+TaskId JobRunner::SchedulerTaskId(const TaskRun& task) const {
+  // Stage and partition each get a fixed decimal range below the job id;
+  // a non-negative int job id keeps the product inside TaskId.
+  constexpr TaskId kStageRange = 10000;
+  constexpr TaskId kPartitionRange = 100000;
+  GS_CHECK(job_id_ >= 0);
+  GS_CHECK(task.stage >= 0 && task.stage < kStageRange);
+  GS_CHECK(task.partition >= 0 && task.partition < kPartitionRange);
+  return (job_id_ * kStageRange + task.stage) * kPartitionRange +
+         task.partition;
 }
 
 }  // namespace gs

@@ -10,10 +10,17 @@
 // Scheme differences are confined to three points:
 //  * kAggShuffle rewrites the graph (transferTo before every shuffle) —
 //    done by GeoCluster before the runner sees it;
-//  * kCentralized runs an input-relocation phase before stage submission;
+//  * kCentralized runs an input-relocation phase before stage submission
+//    (GeoCluster::CentralizeInputs);
 //  * transfer-producer stages push each computed partition to a paired
 //    receiver task the moment it is ready (pipelining, Fig. 1b), while
-//    fetch-based shuffles wait for the stage barrier (Fig. 1a).
+//    fetch-based shuffles wait for the stage barrier (Fig. 1a). Where the
+//    receivers land, and where adaptive replanning moves them, is decided
+//    by ReceiverPlacement (engine/shuffle/receiver_placement.h).
+// Coded shuffle is a fourth mechanism on top of the fetch path:
+// CodedExchange (engine/shuffle/coded_exchange.h), absent when it is off.
+// The runner reads no shuffle knob itself; it calls these units at fixed
+// hook points of the task lifecycle.
 #pragma once
 
 #include <future>
@@ -24,7 +31,8 @@
 #include "common/rng.h"
 #include "dag/stage.h"
 #include "engine/cluster.h"
-#include "engine/placement_policy.h"
+#include "engine/shuffle/coded_exchange.h"
+#include "engine/shuffle/receiver_placement.h"
 #include "exec/task_compute.h"
 
 namespace gs {
@@ -133,17 +141,6 @@ class JobRunner {
     // (pruned) producer.
     bool standalone = false;
     int tasks_done = 0;
-    // Datacenters this stage's receiver tasks land in (usually one;
-    // several when RunConfig::aggregator_dc_count > 1).
-    std::vector<DcIndex> aggregator_dcs;
-    int rr_next = 0;  // round-robin cursor for receiver placement
-    // Last time the adaptive replanner reconsidered this stage's placement
-    // (-1 = never); rate-limits replanning to one pass per
-    // kMinReplanInterval so a bursty jitter trace cannot thrash. A WAN
-    // change inside the window sets replan_pending and a catch-up pass
-    // runs when the window expires, so absorbed events are not lost.
-    SimTime last_replan = -1;
-    bool replan_pending = false;
     std::vector<std::unique_ptr<TaskRun>> tasks;
     // Speculative backup attempts (spark.speculation) and which partitions
     // already have a winning attempt.
@@ -151,11 +148,6 @@ class JobRunner {
     std::vector<bool> partition_done;
     std::vector<double> completed_durations;
     bool spec_check_scheduled = false;
-    // Coded-shuffle exchange (docs/CODED.md): a shuffle-write stage under
-    // CodedConfig::enabled defers its completion until the exchange —
-    // multicast groups, residual unicasts, in-DC consolidations — drains.
-    int coded_pending = 0;
-    bool coded_exchange_done = false;
 
     // Paired with a transfer producer: tasks receive pushed partitions.
     bool is_receiver() const { return stage.starts_at_transfer && !standalone; }
@@ -226,17 +218,12 @@ class JobRunner {
   // after an exponential backoff, falling back to the producer's own node
   // (push degrades to fetch) once retries are exhausted.
   void RecoverReceiver(TaskRun& receiver);
-  NodeIndex PickReceiverNode(StageRun& consumer, NodeIndex exclude);
   StageId StageWritingShuffle(ShuffleId sid) const;
   // Launches backup copies of stragglers once enough of the stage is done
   // (spark.speculation); only plain map/reduce/result stages speculate.
   void MaybeSpeculate(StageRun& sr);
 
   // --- transfer (push) path ---
-  // Picks the receiver's node the moment its producer is placed, so the
-  // push can start straight at producer completion (pipelining, Fig. 1b);
-  // the receiver only acquires an executor slot for its write phase.
-  void PlaceReceiver(StageRun& producer_sr, TaskRun& producer_task);
   void NotifyReceiver(StageRun& producer_sr, TaskRun& producer_task,
                       std::vector<Record> records, Bytes push_bytes);
   void TryDeliver(TaskRun& receiver);
@@ -261,75 +248,25 @@ class JobRunner {
   // producer task, which re-notifies. The receiver must already be placed.
   void RerunProducer(TaskRun& receiver);
 
-  // --- coded shuffle (docs/CODED.md) ---
-  // Effective replication degree: redundancy_r clamped to the DC count.
-  int CodedR() const;
-  // Deterministic worker pick inside `dc` (salted round-robin, preferring
-  // live nodes); kNoNode for a workerless datacenter. Chooses both the
-  // mirror node holding map partition m's replica (salt = m) and the
-  // landing node consolidating shard k (salt = k).
-  NodeIndex CodedNodeInDc(DcIndex dc, int salt) const;
-  // Mirrors a finished map partition's shuffle blocks onto one node in
-  // each of the r-1 datacenters after the primary's on the ring (the
-  // replicated map executions' outputs; their compute is charged in
-  // OnGatherDone).
-  void PutReplicaOutputs(ShuffleId sid, int map_partition, NodeIndex primary,
-                         const std::vector<RecordsPtr>& shard_records,
-                         const std::vector<Bytes>& shard_bytes);
-  // The shuffle exchange, run when a shuffle-write stage's last task
-  // finishes and before the stage is marked done: picks each shard's home
-  // datacenter, serves segments replicated there locally, XOR-multicasts
-  // decodable groups of the rest and unicasts the residue, re-pointing the
-  // tracker at the landing nodes so reducer gathers read locally.
-  void StartCodedExchange(StageId id);
-  // Copies segment (m, k) from `holder` onto `dst` and re-points the
-  // tracker; a vanished source copy is left for fetch-failure recovery.
-  void DeliverCodedSegment(ShuffleId sid, int m, int k, NodeIndex holder,
-                           NodeIndex dst);
-  // One exchange transfer landed; completes the deferred stage when the
-  // last one drains.
-  void CodedTransferDone(StageId id);
-  // Extends a reduce shard's preference list with the exchange's r-way
-  // alternates (landing node first, then the largest replica holders).
-  void AppendCodedAlternates(ShuffleId sid, int shard,
-                             std::vector<NodeIndex>* prefs) const;
-  // Satellite fix: a cached partition whose every replica is dead or
-  // evicted at planning time is counted, not just logged.
-  void CountPlacementMiss();
-
   // --- adaptive replanning (docs/ADAPTIVE.md) ---
-  // Re-runs the placement policy for every in-flight transfer stage: moves
-  // not-yet-started receiver shards off datacenters the policy now ranks
-  // worse (hysteresis-guarded) and degrades individual shards push->fetch
-  // when their push path's measured bandwidth fell below
-  // kDegradeThreshold x base rate.
+  // Re-runs the placement policy for every in-flight transfer stage, rate
+  // limited per stage: moves not-yet-started receiver shards off
+  // datacenters the policy now ranks worse (hysteresis-guarded) and
+  // degrades individual shards push->fetch when their push path's measured
+  // bandwidth fell below kDegradeThreshold x base rate. ReceiverPlacement
+  // decides; this applies its decisions to the receiver tasks.
   void ReplanReceivers();
   // One consumer stage's replanning pass; returns true if anything moved.
   bool ReplanStage(StageRun& consumer);
 
   // --- helpers ---
-  // Per-flow cross-datacenter traffic accounting, called at every
-  // StartFlow site this job owns. Equivalent to metering: the TrafficMeter
-  // also records at flow start, but its totals span all concurrent jobs,
-  // so per-job numbers must be attributed at the call site.
-  void AccountFlow(NodeIndex src, NodeIndex dst, Bytes bytes, FlowKind kind);
+  // The scheduler's id of the task's requests, unique across every job
+  // sharing the scheduler (UpdatePreferences finds a queued one by it).
+  TaskId SchedulerTaskId(const TaskRun& task) const;
   // Registers a compute job's cache fills on the node that ran it.
   void CommitCacheFills(NodeIndex node,
                         const std::vector<EvalResult::CacheFill>& fills);
-  bool IsLiveWorker(NodeIndex n) const;
   double StragglerFactor();
-  // Shuffle-input bytes per datacenter for the stage's pending transfer
-  // (cached cuts credited to the nearest live replica; see
-  // ChooseAggregatorDcs).
-  std::vector<Bytes> StageInputPerDc(const StageRun& producer_sr);
-  AggregatorPlacementPolicy::Context PolicyContext();
-  // The top-k datacenters ranked by the placement policy over `per_dc`
-  // (k = aggregator_dc_count); the static policy reproduces Eq. 2 exactly,
-  // the bandwidth-aware one scores by estimated aggregation time.
-  std::vector<DcIndex> ChooseAggregatorDcs(
-      const AggregatorPlacementPolicy::Context& ctx,
-      const std::vector<Bytes>& per_dc);
-  void CentralizeInputsThenStart();
   StageRun& stage_run(StageId id) { return *stage_runs_[id]; }
   bool IsReducerStage(const StageRun& sr) const;
 
@@ -340,7 +277,6 @@ class JobRunner {
   RddPtr final_rdd_;
   ActionKind action_;
   Rng rng_;
-  std::unique_ptr<AggregatorPlacementPolicy> policy_;
   JobId job_id_ = -1;
   int tenant_ = 0;  // scheduler tenant id tasks bill their slots to
 
@@ -352,12 +288,6 @@ class JobRunner {
   // wait on; resubmitted when that stage re-completes.
   std::unordered_map<StageId, std::vector<TaskRun*>> waiting_on_stage_;
 
-  // Per-shard r-way reducer preference lists built by the coded exchange:
-  // the landing node first, then the nodes holding the largest replica
-  // share of the shard (fallbacks if the landing node is lost or busy).
-  std::unordered_map<ShuffleId, std::vector<std::vector<NodeIndex>>>
-      coded_prefs_;
-
   // Compute jobs awaiting the per-instant batched submission (see
   // SubmitCompute / FlushComputeBatch).
   std::vector<std::packaged_task<TaskComputeResult()>> compute_batch_;
@@ -365,6 +295,9 @@ class JobRunner {
 
   std::vector<std::vector<Record>> results_;  // per result partition
   JobMetrics metrics_;
+
+  ReceiverPlacement placement_;
+  std::unique_ptr<CodedExchange> coded_;  // null unless coding is on
 };
 
 }  // namespace gs

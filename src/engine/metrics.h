@@ -9,6 +9,9 @@
 
 namespace gs {
 
+class Topology;
+enum class FlowKind;
+
 struct StageMetrics {
   StageId id = -1;
   std::string name;
@@ -55,7 +58,7 @@ struct JobMetrics {
   int receivers_moved = 0;     // receiver shards re-placed mid-job
   int adaptive_fallbacks = 0;  // shards degraded push->fetch by bandwidth
 
-  // Cached-input placement misses (engine/job_runner.cc StageInputPerDc):
+  // Cached-input placement misses (ReceiverPlacement::StageInputPerDc):
   // partitions whose every replica is dead or evicted at planning time, so
   // their bytes drop out of the aggregator-choice input weights. Nonzero
   // values mean Eq. 2 planned against an undercount.
@@ -70,6 +73,13 @@ struct JobMetrics {
   // Extra map compute bought by the r-fold replication: (r-1) x the
   // replicated partitions' map seconds, the cost side of the crossover.
   double coded_replica_compute_seconds = 0;
+
+  // Per-flow cross-datacenter traffic accounting, called at every
+  // StartFlow site the job owns. Equivalent to metering: the TrafficMeter
+  // also records at flow start, but its totals span all concurrent jobs,
+  // so per-job numbers must be attributed at the call site.
+  void AccountFlow(const Topology& topo, NodeIndex src, NodeIndex dst,
+                   Bytes bytes, FlowKind kind);
 
   SimTime jct() const { return completed - started; }
   SimTime queue_delay() const { return started - submitted; }

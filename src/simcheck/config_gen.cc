@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <string>
+#include <variant>
 
 #include "common/check.h"
 #include "common/json.h"
@@ -70,39 +71,60 @@ SimcheckConfig GenerateConfig(std::uint64_t seed) {
   return cfg;
 }
 
+namespace {
+
+// The reproducer's keys, in ToJson's order, each with the member it holds:
+// ToJson writes every row and FromJson's AssignField looks keys up here,
+// so a new config field is added in this one place.
+using Member = std::variant<std::uint64_t SimcheckConfig::*,
+                            int SimcheckConfig::*, bool SimcheckConfig::*,
+                            double SimcheckConfig::*>;
+struct Field {
+  const char* key;
+  Member member;
+};
+const Field kFields[] = {
+    {"seed", &SimcheckConfig::seed},
+    {"num_dcs", &SimcheckConfig::num_dcs},
+    {"nodes_per_dc", &SimcheckConfig::nodes_per_dc},
+    {"dedicated_driver", &SimcheckConfig::dedicated_driver},
+    {"wan_rate_mbps", &SimcheckConfig::wan_rate_mbps},
+    {"rtt_ms", &SimcheckConfig::rtt_ms},
+    {"uniform_wan", &SimcheckConfig::uniform_wan},
+    {"dag_shape", &SimcheckConfig::dag_shape},
+    {"num_records", &SimcheckConfig::num_records},
+    {"num_keys", &SimcheckConfig::num_keys},
+    {"partitions_per_dc", &SimcheckConfig::partitions_per_dc},
+    {"num_shards", &SimcheckConfig::num_shards},
+    {"map_side_combine", &SimcheckConfig::map_side_combine},
+    {"save_action", &SimcheckConfig::save_action},
+    {"aggregator_dc_count", &SimcheckConfig::aggregator_dc_count},
+    {"threads_high", &SimcheckConfig::threads_high},
+    {"noisy_network", &SimcheckConfig::noisy_network},
+    {"crash", &SimcheckConfig::crash},
+    {"crash_victim", &SimcheckConfig::crash_victim},
+    {"crash_frac", &SimcheckConfig::crash_frac},
+    {"restart_after", &SimcheckConfig::restart_after},
+    {"degrade", &SimcheckConfig::degrade},
+    {"degrade_factor", &SimcheckConfig::degrade_factor},
+    {"degrade_frac", &SimcheckConfig::degrade_frac},
+    {"degrade_duration", &SimcheckConfig::degrade_duration},
+    {"block_loss", &SimcheckConfig::block_loss},
+    {"block_loss_frac", &SimcheckConfig::block_loss_frac},
+    {"transport", &SimcheckConfig::transport},
+    {"adaptive", &SimcheckConfig::adaptive},
+    {"coded", &SimcheckConfig::coded},
+};
+
+}  // namespace
+
 std::string ToJson(const SimcheckConfig& c) {
   JsonWriter w;
   w.BeginObject();
-  w.Key("seed").Value(c.seed);
-  w.Key("num_dcs").Value(c.num_dcs);
-  w.Key("nodes_per_dc").Value(c.nodes_per_dc);
-  w.Key("dedicated_driver").Value(c.dedicated_driver);
-  w.Key("wan_rate_mbps").Value(c.wan_rate_mbps);
-  w.Key("rtt_ms").Value(c.rtt_ms);
-  w.Key("uniform_wan").Value(c.uniform_wan);
-  w.Key("dag_shape").Value(c.dag_shape);
-  w.Key("num_records").Value(c.num_records);
-  w.Key("num_keys").Value(c.num_keys);
-  w.Key("partitions_per_dc").Value(c.partitions_per_dc);
-  w.Key("num_shards").Value(c.num_shards);
-  w.Key("map_side_combine").Value(c.map_side_combine);
-  w.Key("save_action").Value(c.save_action);
-  w.Key("aggregator_dc_count").Value(c.aggregator_dc_count);
-  w.Key("threads_high").Value(c.threads_high);
-  w.Key("noisy_network").Value(c.noisy_network);
-  w.Key("crash").Value(c.crash);
-  w.Key("crash_victim").Value(c.crash_victim);
-  w.Key("crash_frac").Value(c.crash_frac);
-  w.Key("restart_after").Value(c.restart_after);
-  w.Key("degrade").Value(c.degrade);
-  w.Key("degrade_factor").Value(c.degrade_factor);
-  w.Key("degrade_frac").Value(c.degrade_frac);
-  w.Key("degrade_duration").Value(c.degrade_duration);
-  w.Key("block_loss").Value(c.block_loss);
-  w.Key("block_loss_frac").Value(c.block_loss_frac);
-  w.Key("transport").Value(c.transport);
-  w.Key("adaptive").Value(c.adaptive);
-  w.Key("coded").Value(c.coded);
+  for (const Field& f : kFields) {
+    std::visit([&](auto member) { w.Key(f.key).Value(c.*member); },
+               f.member);
+  }
   w.EndObject();
   return w.str();
 }
@@ -154,13 +176,13 @@ struct Cursor {
   }
 };
 
-bool TokenToBool(const std::string& tok, bool* out) {
+bool ParseToken(const std::string& tok, bool* out) {
   if (tok == "true") { *out = true; return true; }
   if (tok == "false") { *out = false; return true; }
   return false;
 }
 
-bool TokenToInt(const std::string& tok, int* out) {
+bool ParseToken(const std::string& tok, int* out) {
   char* end = nullptr;
   long v = std::strtol(tok.c_str(), &end, 10);
   if (end == tok.c_str() || *end != '\0') return false;
@@ -168,7 +190,7 @@ bool TokenToInt(const std::string& tok, int* out) {
   return true;
 }
 
-bool TokenToU64(const std::string& tok, std::uint64_t* out) {
+bool ParseToken(const std::string& tok, std::uint64_t* out) {
   if (tok.empty() || tok[0] == '-') return false;
   char* end = nullptr;
   unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
@@ -177,7 +199,7 @@ bool TokenToU64(const std::string& tok, std::uint64_t* out) {
   return true;
 }
 
-bool TokenToDouble(const std::string& tok, double* out) {
+bool ParseToken(const std::string& tok, double* out) {
   char* end = nullptr;
   double v = std::strtod(tok.c_str(), &end);
   if (end == tok.c_str() || *end != '\0') return false;
@@ -187,42 +209,12 @@ bool TokenToDouble(const std::string& tok, double* out) {
 
 bool AssignField(SimcheckConfig* c, const std::string& key,
                  const std::string& tok) {
-  if (key == "seed") return TokenToU64(tok, &c->seed);
-  if (key == "num_dcs") return TokenToInt(tok, &c->num_dcs);
-  if (key == "nodes_per_dc") return TokenToInt(tok, &c->nodes_per_dc);
-  if (key == "dedicated_driver") return TokenToBool(tok, &c->dedicated_driver);
-  if (key == "wan_rate_mbps") return TokenToInt(tok, &c->wan_rate_mbps);
-  if (key == "rtt_ms") return TokenToInt(tok, &c->rtt_ms);
-  if (key == "uniform_wan") return TokenToBool(tok, &c->uniform_wan);
-  if (key == "dag_shape") return TokenToInt(tok, &c->dag_shape);
-  if (key == "num_records") return TokenToInt(tok, &c->num_records);
-  if (key == "num_keys") return TokenToInt(tok, &c->num_keys);
-  if (key == "partitions_per_dc") {
-    return TokenToInt(tok, &c->partitions_per_dc);
+  for (const Field& f : kFields) {
+    if (key != f.key) continue;
+    return std::visit(
+        [&](auto member) { return ParseToken(tok, &(c->*member)); },
+        f.member);
   }
-  if (key == "num_shards") return TokenToInt(tok, &c->num_shards);
-  if (key == "map_side_combine") return TokenToBool(tok, &c->map_side_combine);
-  if (key == "save_action") return TokenToBool(tok, &c->save_action);
-  if (key == "aggregator_dc_count") {
-    return TokenToInt(tok, &c->aggregator_dc_count);
-  }
-  if (key == "threads_high") return TokenToInt(tok, &c->threads_high);
-  if (key == "noisy_network") return TokenToBool(tok, &c->noisy_network);
-  if (key == "crash") return TokenToBool(tok, &c->crash);
-  if (key == "crash_victim") return TokenToInt(tok, &c->crash_victim);
-  if (key == "crash_frac") return TokenToDouble(tok, &c->crash_frac);
-  if (key == "restart_after") return TokenToDouble(tok, &c->restart_after);
-  if (key == "degrade") return TokenToBool(tok, &c->degrade);
-  if (key == "degrade_factor") return TokenToDouble(tok, &c->degrade_factor);
-  if (key == "degrade_frac") return TokenToDouble(tok, &c->degrade_frac);
-  if (key == "degrade_duration") {
-    return TokenToDouble(tok, &c->degrade_duration);
-  }
-  if (key == "block_loss") return TokenToBool(tok, &c->block_loss);
-  if (key == "block_loss_frac") return TokenToDouble(tok, &c->block_loss_frac);
-  if (key == "transport") return TokenToInt(tok, &c->transport);
-  if (key == "adaptive") return TokenToInt(tok, &c->adaptive);
-  if (key == "coded") return TokenToInt(tok, &c->coded);
   return false;  // unknown key
 }
 

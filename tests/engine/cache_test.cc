@@ -2,6 +2,7 @@
 // discusses caching aggregated datasets to avoid repeated WAN transfers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "engine/cluster.h"
@@ -109,6 +110,42 @@ TEST(CacheTest, WorksUnderAggShuffleRewrite) {
   EXPECT_EQ(first.size(), second.size());
   EXPECT_EQ(push_after_first, push_after_second)
       << "cached aggregated data must not be pushed again (Sec. IV-E)";
+}
+
+// A dataset cached inside a receiver stage (transferTo, then a narrow
+// op). A later job that shuffles it finds every partition of that stage
+// cached, so the stage runs standalone — a normal stage gathering from the
+// cache — while its producer is pruned: nothing is pushed again.
+TEST(CacheTest, CachedReceiverStageRunsStandalone) {
+  const auto twice = [](const Record& r) {
+    return Record{r.key, std::get<std::int64_t>(r.value) * 2};
+  };
+  const auto by_key = [](const Record& x, const Record& y) {
+    return x.key < y.key;
+  };
+  GeoCluster cluster(Ec2SixRegionTopology(100), QuietConfig(Scheme::kSpark));
+  Dataset received = cluster.Parallelize("data", SomeRecords(300), 2)
+                         .TransferTo(3)
+                         .Map("twice", twice)
+                         .Cache();
+  (void)received.Collect();
+  const Bytes pushed =
+      cluster.network().meter().total_of_kind(FlowKind::kShufflePush);
+  ASSERT_GT(pushed, 0);
+  std::vector<Record> cached = received.ReduceByKey(SumInt64(), 4).Collect();
+  EXPECT_EQ(cluster.network().meter().total_of_kind(FlowKind::kShufflePush),
+            pushed)
+      << "the cached receiver stage must not be paired and pushed again";
+
+  GeoCluster fresh(Ec2SixRegionTopology(100), QuietConfig(Scheme::kSpark));
+  std::vector<Record> uncached = fresh.Parallelize("data", SomeRecords(300), 2)
+                                     .TransferTo(3)
+                                     .Map("twice", twice)
+                                     .ReduceByKey(SumInt64(), 4)
+                                     .Collect();
+  std::sort(cached.begin(), cached.end(), by_key);
+  std::sort(uncached.begin(), uncached.end(), by_key);
+  EXPECT_EQ(cached, uncached);
 }
 
 }  // namespace

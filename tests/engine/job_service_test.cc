@@ -204,6 +204,75 @@ TEST(JobServiceTest, CrashDuringOneTenantsJobDoesNotCorruptTheOther) {
   EXPECT_EQ(rb.metrics.node_crashes, 1);
 }
 
+// Three datacenters of two one-slot workers each, plus a driver: two
+// concurrent jobs keep every slot busy, so landed receivers queue.
+Topology OneSlotTopology() {
+  Topology topo;
+  for (int d = 0; d < 3; ++d) topo.AddDatacenter("dc" + std::to_string(d));
+  for (int d = 0; d < 3; ++d) {
+    for (int i = 0; i < 2; ++i) {
+      NodeSpec spec;
+      spec.name = "w" + std::to_string(d) + "-" + std::to_string(i);
+      spec.dc = d;
+      spec.cores = 1;
+      spec.nic_rate = Mbps(400);
+      topo.AddNode(spec);
+    }
+  }
+  NodeSpec driver;
+  driver.name = "driver";
+  driver.worker = false;
+  topo.AddNode(driver);
+  for (DcIndex s = 0; s < 3; ++s) {
+    for (DcIndex d = 0; d < 3; ++d) {
+      if (s == d) continue;
+      WanLinkSpec link;
+      link.src = s;
+      link.dst = d;
+      link.base_rate = Mbps(100);
+      link.min_rate = Mbps(50);
+      link.max_rate = Mbps(130);
+      link.rtt = Millis(100);
+      topo.AddWanLink(link);
+    }
+  }
+  return topo;
+}
+
+// Two identical AggShuffle jobs, adaptive on. At the crash, job 0 has a
+// receiver whose pushed data landed on node 1 and whose write-phase
+// request still waits in the queue, pinned kNodeOnly to node 1; job 1 has
+// a queued receiver with the same stage and partition, submitted earlier.
+// Recovery lifts the pin of job 0's request. Scheduler task ids must tell
+// the jobs apart, or the lift hits job 1's request and job 0's stale
+// request stays pinned to the dead node, queued forever.
+TEST(JobServiceTest, ReceiverCrashUnpinsOnlyItsOwnJobsRequest) {
+  RunConfig cfg;
+  cfg.scheme = Scheme::kAggShuffle;
+  cfg.seed = 5;
+  cfg.adaptive.enabled = true;
+  GeoCluster cluster(OneSlotTopology(), cfg);
+  const std::vector<Record> input = Input("k", 3000, 50);
+  Dataset sums =
+      cluster.Parallelize("in", input, /*partitions_per_dc=*/4)
+          .ReduceByKey(SumInt64(), 4);
+  JobOptions a_opts, b_opts;
+  a_opts.tenant = "alice";
+  b_opts.tenant = "bob";
+  JobHandle a = sums.Submit(ActionKind::kCollect, a_opts);
+  JobHandle b = sums.Submit(ActionKind::kCollect, b_opts);
+  cluster.simulator().Schedule(0.66, [&cluster] { cluster.CrashNode(1); });
+  cluster.RunUntilQuiescent();
+
+  EXPECT_EQ(cluster.scheduler().queued_tasks(), 0)
+      << "a request pinned to the dead node was left queued";
+  RunResult ra = a.Wait(), rb = b.Wait();
+  EXPECT_EQ(Sums(ra.records), Sums(input));
+  EXPECT_EQ(Sums(rb.records), Sums(input));
+  EXPECT_EQ(ra.metrics.node_crashes, 1);
+  EXPECT_EQ(rb.metrics.node_crashes, 1);
+}
+
 // A job handle's result can be taken exactly once.
 TEST(JobServiceTest, WaitTwiceIsFatal) {
   GeoCluster cluster(Ec2SixRegionTopology(kScale), TestConfig());
