@@ -2,8 +2,9 @@
 //
 // Unlike the figure benches, which report *simulated* time, this bench
 // measures *real elapsed* time of the compute primitives the engine runs
-// per task — evaluate, combine, single-pass shuffle partitioning, shard
-// sort, size accounting — on Table-I-sized batches, plus the map-phase
+// per task — evaluate, combine (WordCount's map-side sum and a PageRank
+// reduce shard's term-weight merge), single-pass shuffle partitioning,
+// shard sort, size accounting — on Table-I-sized batches, plus the map-phase
 // pipeline through the compute ThreadPool at 1/2/4/8 threads and TeraSort
 // input generation (Workload::Build) on a 1/2/4-thread compute pool. The
 // threads sweep shows how task compute scales with pool width (on a
@@ -76,6 +77,41 @@ std::vector<Record> WordcountBatch(Rng& rng, std::size_t n) {
   return batch;
 }
 
+// PageRank reduce-shard shape: each page's state (a sorted ~13-entry
+// adjacency with its "#r" rank appended last, as apply-rank emits it)
+// arrives in one of two state chunks, and ~12 one-entry "#c" contributions
+// per page arrive spread over six contribution chunks, in map order.
+std::vector<RecordsPtr> PagerankShardChunks(Rng& rng, std::size_t pages) {
+  constexpr int kStateChunks = 2;
+  constexpr int kContribChunks = 6;
+  std::vector<std::vector<Record>> chunks(kStateChunks + kContribChunks);
+  for (std::size_t p = 0; p < pages; ++p) {
+    const std::string key = "page-" + std::to_string(p);
+    const auto degree = static_cast<std::size_t>(rng.UniformInt(10, 16));
+    std::vector<TermWeight> state;
+    for (std::size_t i = 0; i < degree; ++i) {
+      state.emplace_back("page-" + std::to_string(rng.UniformInt(
+                                       0, static_cast<std::int64_t>(pages))),
+                         0.0);
+    }
+    std::sort(state.begin(), state.end());
+    state.emplace_back("#r", rng.Uniform(0.15, 2.0));
+    chunks[p % kStateChunks].push_back(Record{key, std::move(state)});
+    const std::int64_t contributions = rng.UniformInt(9, 15);
+    for (std::int64_t c = 0; c < contributions; ++c) {
+      const auto chunk = static_cast<std::size_t>(
+          kStateChunks + rng.UniformInt(0, kContribChunks - 1));
+      chunks[chunk].push_back(Record{
+          key, std::vector<TermWeight>{{"#c", rng.Uniform(0.0, 0.2)}}});
+    }
+  }
+  std::vector<RecordsPtr> shared;
+  for (std::vector<Record>& c : chunks) {
+    shared.push_back(MakeRecords(std::move(c)));
+  }
+  return shared;
+}
+
 // The production map-task compute: evaluate + optional combine +
 // single-pass shuffle split, exactly as the engine submits it. The batch
 // is a shared chunk, like the engine hands a task its gathered records;
@@ -83,7 +119,7 @@ std::vector<Record> WordcountBatch(Rng& rng, std::size_t n) {
 // inside the job.
 TaskComputeResult RunMapCompute(const Rdd& source, int partition,
                                 RecordsPtr batch, const ShuffleInfo& info,
-                                const CombineFn* combine) {
+                                const Combiner* combine) {
   TaskComputeSpec spec;
   spec.output_rdd = &source;
   spec.partition = partition;
@@ -158,7 +194,7 @@ int main() {
                    std::vector<SourceRdd::Partition>(
                        static_cast<std::size_t>(kMaps),
                        MakePartition(source_records)));
-  const CombineFn sum = SumInt64();
+  const Combiner sum = SumInt64();
 
   auto measure = [&](const std::string& name, int iters, auto fn) {
     const double start = WallSeconds();
@@ -180,10 +216,37 @@ int main() {
         source, i, inputs[static_cast<std::size_t>(i)], info, nullptr);
     if (r.shard_total_bytes == 0) std::abort();
   });
+  // --- combine layer ----------------------------------------------------
+  // WordCount's map-side combine over the Table-I batch; a small 10k-record
+  // batch over 1000 keys; and a PageRank reduce shard read in place from
+  // its shared chunks (MergeTermWeights appends each contribution and
+  // sorts once per page).
   measure("combine", 8, [&](int) {
     std::vector<Record> out = CombineByKey(word_batch, sum);
     if (out.empty()) std::abort();
   });
+  {
+    Rng small_rng(5);
+    std::vector<Record> small;
+    for (int i = 0; i < 10000; ++i) {
+      small.push_back(Record{"w" + std::to_string(small_rng.UniformInt(0, 999)),
+                             std::int64_t{1}});
+    }
+    measure("combine-small", 200, [&](int) {
+      std::vector<Record> out = CombineByKey(small, sum);
+      if (out.empty()) std::abort();
+    });
+  }
+  {
+    Rng terms_rng(11);
+    const std::vector<RecordsPtr> shard = PagerankShardChunks(
+        terms_rng, static_cast<std::size_t>(500'000 / scale));
+    const Combiner terms = MergeTermWeights();
+    measure("combine-terms", 8, [&](int) {
+      std::vector<Record> out = CombineByKey(shard, terms);
+      if (out.empty()) std::abort();
+    });
+  }
   measure("sort", 8, [&](int) {
     ShuffleInfo sort_info;
     sort_info.id = 1;
@@ -194,7 +257,7 @@ int main() {
                              0, "s", std::vector<SourceRdd::Partition>(
                                          1, MakePartition(source_records))),
                          sort_info);
-    std::vector<Record> out = shuffled.ProcessShard(tera_batches.front());
+    std::vector<Record> out = shuffled.ProcessShard({source_records});
     if (out.empty()) std::abort();
   });
   measure("serialize", 8, [&](int) {

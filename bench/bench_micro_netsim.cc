@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark) of the simulation substrates: event
 // queue throughput, max-min fair-share recomputation, flow churn on the
-// six-region and a 12-DC synthetic topology, partitioner and combiner
-// throughput. Provides its own main(): when GS_BENCH_JSON is set (the
-// run_benches.sh convention), results are also written to that path in
-// google-benchmark's JSON format.
+// six-region and a 12-DC synthetic topology, partitioner throughput and
+// the compression estimate (the combiner's rows are in
+// bench_micro_datapath). Provides its own main(): when GS_BENCH_JSON is set
+// (the run_benches.sh convention), results are also written to that path
+// in google-benchmark's JSON format.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "data/combiner.h"
 #include "data/compression.h"
 #include "data/partitioner.h"
 #include "netsim/network.h"
@@ -122,21 +122,6 @@ void BM_HashPartitioner(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HashPartitioner);
-
-void BM_CombineByKey(benchmark::State& state) {
-  gs::Rng rng(5);
-  std::vector<gs::Record> records;
-  for (int i = 0; i < 10000; ++i) {
-    records.push_back(gs::Record{
-        "w" + std::to_string(rng.UniformInt(0, 999)), std::int64_t{1}});
-  }
-  for (auto _ : state) {
-    auto combined = gs::CombineByKey(records, gs::SumInt64());
-    benchmark::DoNotOptimize(combined);
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_CombineByKey);
 
 void BM_CompressionEstimate(benchmark::State& state) {
   gs::Rng rng(9);

@@ -151,7 +151,7 @@ class StageBuilder {
     // consuming shuffle, so the combine runs before the push (Sec. IV-C3).
     if (kind == StageOutputKind::kShuffleWrite && consumer_shuffle) {
       if (!starts_at_transfer) {
-        stage.pre_output_combine = consumer_shuffle->shuffle().map_side_combine;
+        stage.pre_output_combine = consumer_shuffle->shuffle().combine;
       }
       // A receiver stage writing shuffle files never recombines: the
       // producer already did (Sec. IV-C3, "avoid repetitive computation on
@@ -160,7 +160,7 @@ class StageBuilder {
                consumer_transfer) {
       const ShuffledRdd* downstream = FindConsumingShuffle(*consumer_transfer);
       if (downstream) {
-        stage.pre_output_combine = downstream->shuffle().map_side_combine;
+        stage.pre_output_combine = downstream->shuffle().combine;
       }
     }
 
@@ -198,8 +198,7 @@ void PatchProducerCombines(std::vector<Stage>& stages) {
     Stage& producer = stages[stage.transfer_producer];
     if (stage.output == StageOutputKind::kShuffleWrite &&
         stage.consumer_shuffle != nullptr) {
-      producer.pre_output_combine =
-          stage.consumer_shuffle->shuffle().map_side_combine;
+      producer.pre_output_combine = stage.consumer_shuffle->shuffle().combine;
     }
   }
 }

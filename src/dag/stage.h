@@ -38,10 +38,13 @@ struct Stage {
   const TransferredRdd* consumer_transfer = nullptr;
 
   // Map-side combine to apply to the computed partition before the output
-  // step. For a plain shuffle-map stage this is the shuffle's combine; for a
-  // transfer-producer stage feeding a shuffle it is that shuffle's combine,
-  // applied *before* the push so combined data crosses the WAN (Sec. IV-C3).
-  CombineFn pre_output_combine;
+  // step: the consuming shuffle's ShuffleInfo::combine. For a plain
+  // shuffle-map stage that is the shuffle this stage writes; for a
+  // transfer-producer stage it is the shuffle behind the transferTo,
+  // applied *before* the push so combined data crosses the WAN (Sec.
+  // IV-C3). Empty when the shuffle does not combine, and on a receiver
+  // stage, which never recombines.
+  Combiner pre_output_combine;
 
   // Stages that must fully complete before this stage is submitted
   // (shuffle dependencies of any leaf in this stage).

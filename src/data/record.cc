@@ -75,6 +75,17 @@ Bytes SerializedSize(const std::vector<Record>& records) {
   return total;
 }
 
+std::vector<Record> ConcatRecords(const std::vector<RecordsPtr>& chunks) {
+  std::size_t n = 0;
+  for (const RecordsPtr& c : chunks) n += c->size();
+  std::vector<Record> out;
+  out.reserve(n);
+  for (const RecordsPtr& c : chunks) {
+    out.insert(out.end(), c->begin(), c->end());
+  }
+  return out;
+}
+
 std::string ToString(const Value& value) {
   std::ostringstream os;
   std::visit(PrintVisitor{os}, value);

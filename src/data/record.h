@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -32,6 +33,13 @@ struct Record {
 
   bool operator==(const Record& other) const = default;
 };
+
+// Records shared immutably between a producer and its readers: a block's
+// payload, or one gathered chunk of a shuffle shard.
+using RecordsPtr = std::shared_ptr<const std::vector<Record>>;
+
+// Copies the records of `chunks` into one vector, in chunk order.
+std::vector<Record> ConcatRecords(const std::vector<RecordsPtr>& chunks);
 
 // Serialized wire/disk size of a value or record, in bytes. The model
 // approximates a compact binary encoding: fixed 8 bytes for numerics,

@@ -49,13 +49,11 @@ Dataset Dataset::Cache() const {
   return *this;
 }
 
-Dataset Dataset::ReduceByKey(const CombineFn& fn, int num_shards,
-                             bool map_side_combine) const {
+Dataset Dataset::ReduceByKey(const Combiner& combiner, int num_shards) const {
   ShuffleInfo info;
   info.id = cluster_->NextShuffleId();
   info.partitioner = std::make_shared<HashPartitioner>(num_shards);
-  if (map_side_combine) info.map_side_combine = fn;
-  info.reduce_combine = fn;
+  info.combine = combiner;
   auto rdd = std::make_shared<ShuffledRdd>(cluster_->NextRddId(),
                                            "reduceByKey", rdd_, std::move(info));
   return Dataset(cluster_, std::move(rdd));

@@ -39,10 +39,10 @@ class Dataset {
   Dataset Cache() const;
 
   // ---- Wide transformations ---------------------------------------------
-  // Merge values of equal keys with `fn`. `map_side_combine` additionally
-  // pre-merges on the map side (and before transferTo pushes, Sec. IV-C3).
-  Dataset ReduceByKey(const CombineFn& fn, int num_shards,
-                      bool map_side_combine = true) const;
+  // Merge values of equal keys with `combiner`, also on the map side (and
+  // before transferTo pushes, Sec. IV-C3) unless the run sets
+  // RunConfig::disable_map_side_combine.
+  Dataset ReduceByKey(const Combiner& combiner, int num_shards) const;
   // Gather string values of equal keys into vector<string>.
   Dataset GroupByKey(int num_shards) const;
   // Range-partition by key and sort within each shard; concatenating shards

@@ -23,17 +23,6 @@ struct Produced {
   }
 };
 
-std::vector<Record> Concat(const std::vector<RecordsPtr>& chunks) {
-  std::size_t n = 0;
-  for (const RecordsPtr& c : chunks) n += c->size();
-  std::vector<Record> out;
-  out.reserve(n);
-  for (const RecordsPtr& c : chunks) {
-    out.insert(out.end(), c->begin(), c->end());
-  }
-  return out;
-}
-
 // Recursively evaluates `rdd` partition `p`, bottoming out at `start`.
 // Exactly one recursion path reaches `start` (map chains are linear and a
 // union resolves to one parent).
@@ -43,14 +32,14 @@ Produced Eval(const Rdd& rdd, int p, const EvalStart& start,
     GS_CHECK_MSG(p == start.partition, "boundary partition mismatch: " << p
                                            << " vs " << start.partition);
     if (rdd.kind() == RddKind::kShuffled && !start.already_processed) {
-      // The chunks are raw gathered shard records; apply the reduce side's
-      // combine/group/sort to their concatenation.
-      return Produced{static_cast<const ShuffledRdd&>(rdd).ProcessShard(
-                          Concat(start.chunks)),
-                      nullptr};
+      // The chunks are raw gathered shard records; the reduce side's
+      // combine/group/sort reads them (a combine in place).
+      return Produced{
+          static_cast<const ShuffledRdd&>(rdd).ProcessShard(start.chunks),
+          nullptr};
     }
     if (start.chunks.size() == 1) return Produced{{}, start.chunks.front()};
-    return Produced{Concat(start.chunks), nullptr};
+    return Produced{ConcatRecords(start.chunks), nullptr};
   }
 
   Produced out;

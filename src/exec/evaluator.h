@@ -46,9 +46,10 @@ struct EvalStart {
 
 // Evaluates partition `partition` of `output`, starting from `start`.
 // For a ShuffledRdd leaf, `start.chunks` are the raw gathered shard
-// records; they are concatenated and ProcessShard (combine/group/sort) is
-// applied here. A single chunk under a MapPartitionsRdd is read in place;
-// an output that is the boundary itself gets a concatenated copy.
+// records; ProcessShard (combine/group/sort) is applied to them here, a
+// combine reading them in place. A single chunk under a MapPartitionsRdd
+// is read in place; an output that is the boundary itself gets a
+// concatenated copy.
 EvalResult Evaluate(const Rdd& output, int partition, EvalStart start);
 
 // Finds the evaluation cut for a task: walks from `output` down towards the

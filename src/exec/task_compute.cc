@@ -41,16 +41,17 @@ TaskComputeResult ComputeTask(TaskComputeSpec spec) {
   std::vector<Record> records = std::move(eval.records);
   out.cache_fills = std::move(eval.cache_fills);
 
-  // Map-side combine. The combine pass hashes every key anyway, so it
-  // hands the hashes back for shard assignment below — one FNV-1a per
-  // record for the whole combine-then-partition path.
+  // Map-side combine, consuming the owned records. The combine pass hashes
+  // every key anyway, so it hands the hashes back for shard assignment
+  // below — one FNV-1a per record for the whole combine-then-partition
+  // path.
   std::vector<std::uint64_t>& hashes = Scratch().hashes;
   hashes.clear();
   const bool want_hashes =
       spec.output == StageOutputKind::kShuffleWrite &&
       spec.consumer_shuffle->partitioner->UsesKeyHash();
   if (spec.combine != nullptr) {
-    records = CombineByKey(records, *spec.combine,
+    records = CombineByKey(std::move(records), *spec.combine,
                            want_hashes ? &hashes : nullptr);
   }
   out.out_records = records.size();

@@ -38,7 +38,7 @@ struct TaskComputeSpec {
   // Effective map-side combine: null when the stage has none or the run
   // disables it. (Receiver stages always combine when the stage asks —
   // RunConfig::disable_map_side_combine does not apply to them.)
-  const CombineFn* combine = nullptr;
+  const Combiner* combine = nullptr;
   StageOutputKind output = StageOutputKind::kResult;
   // Shuffle this stage writes into (kShuffleWrite only).
   const ShuffleInfo* consumer_shuffle = nullptr;

@@ -91,16 +91,17 @@ ShuffledRdd::ShuffledRdd(RddId id, std::string name, RddPtr parent,
       info_(std::move(info)) {
   GS_CHECK(info_.partitioner != nullptr);
   GS_CHECK(info_.id >= 0);
-  GS_CHECK_MSG(!(info_.group_values && info_.reduce_combine),
+  GS_CHECK_MSG(!(info_.group_values && info_.combine),
                "groupByKey and reduceByKey are mutually exclusive");
   AddParent(std::move(parent));
 }
 
 std::vector<Record> ShuffledRdd::ProcessShard(
-    std::vector<Record> records) const {
-  if (info_.reduce_combine) {
-    records = CombineByKey(records, info_.reduce_combine);
-  } else if (info_.group_values) {
+    const std::vector<RecordsPtr>& chunks) const {
+  std::vector<Record> records = info_.combine
+                                    ? CombineByKey(chunks, info_.combine)
+                                    : ConcatRecords(chunks);
+  if (info_.group_values) {
     // Gather string values per key, in arrival order. Keys are hashed once
     // into a flat index — no std::hash<std::string>, no per-key nodes.
     std::vector<Record> grouped;

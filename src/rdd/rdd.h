@@ -44,13 +44,12 @@ enum class RddKind {
 struct ShuffleInfo {
   ShuffleId id = -1;
   std::shared_ptr<Partitioner> partitioner;
-  // If set, values of equal keys are merged on the map side before shuffle
-  // write (and before a transferTo push — Sec. IV-C3).
-  CombineFn map_side_combine;
-  // If set, values of equal keys are merged on the reduce side.
-  CombineFn reduce_combine;
+  // If set, values of equal keys are merged on the reduce side, and on
+  // the map side before shuffle write (and before a transferTo push —
+  // Sec. IV-C3) unless RunConfig::disable_map_side_combine is set.
+  Combiner combine;
   // Gather values of equal (string-valued) keys into vector<string>
-  // (groupByKey). Mutually exclusive with reduce_combine.
+  // (groupByKey). Mutually exclusive with combine.
   bool group_values = false;
   // Sort records by key within each shard (sortByKey/TeraSort).
   bool sort_by_key = false;
@@ -158,9 +157,12 @@ class ShuffledRdd final : public Rdd {
   const ShuffleInfo& shuffle() const { return info_; }
   const RddPtr& parent() const { return parents().front(); }
 
-  // Reduce-side processing of gathered shard records (combine / group /
-  // sort), applied by the executor once all fetches complete.
-  std::vector<Record> ProcessShard(std::vector<Record> records) const;
+  // Reduce-side processing of a gathered shard (combine / group / sort),
+  // applied by the executor once all fetches complete. `chunks` are the
+  // shard's shared chunks in gather order, logically concatenated. A
+  // combine reads them in place and copies only each key's first record;
+  // group and sort work on a concatenated copy.
+  std::vector<Record> ProcessShard(const std::vector<RecordsPtr>& chunks) const;
 
  private:
   ShuffleInfo info_;

@@ -62,9 +62,7 @@ struct BlockIdHash {
   }
 };
 
-// The records a block holds, shared immutably between producer and readers.
-using RecordsPtr = std::shared_ptr<const std::vector<Record>>;
-
+// Wraps records as a block payload (RecordsPtr, data/record.h).
 RecordsPtr MakeRecords(std::vector<Record> records);
 
 struct Block {

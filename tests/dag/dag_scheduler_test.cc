@@ -24,12 +24,11 @@ RddPtr Identity(RddId id, RddPtr parent, std::string name = "map") {
       [](int, const std::vector<Record>& in) { return in; });
 }
 
-ShuffleInfo Shuffle(ShuffleId id, int shards, CombineFn combine = nullptr) {
+ShuffleInfo Shuffle(ShuffleId id, int shards, Combiner combine = {}) {
   ShuffleInfo info;
   info.id = id;
   info.partitioner = std::make_shared<HashPartitioner>(shards);
-  info.map_side_combine = combine;
-  if (combine) info.reduce_combine = combine;
+  info.combine = combine;
   return info;
 }
 
@@ -95,16 +94,16 @@ TEST(StageBuilderTest, CombineMovesToTransferProducer) {
       2, "red", mapped, Shuffle(0, 4, SumInt64()));
   auto plain = BuildStages(shuffled_plain);
   ASSERT_EQ(plain.size(), 2u);
-  EXPECT_TRUE(plain[0].pre_output_combine != nullptr);
+  EXPECT_TRUE(plain[0].pre_output_combine);
 
   auto transferred = std::make_shared<TransferredRdd>(3, "t", mapped, kNoDc);
   auto shuffled = std::make_shared<ShuffledRdd>(4, "red", transferred,
                                                 Shuffle(1, 4, SumInt64()));
   auto stages = BuildStages(shuffled);
   ASSERT_EQ(stages.size(), 3u);
-  EXPECT_TRUE(stages[0].pre_output_combine != nullptr)
+  EXPECT_TRUE(stages[0].pre_output_combine)
       << "producer must combine before the push";
-  EXPECT_TRUE(stages[1].pre_output_combine == nullptr)
+  EXPECT_FALSE(stages[1].pre_output_combine)
       << "receiver must not recombine";
 }
 

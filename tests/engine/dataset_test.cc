@@ -99,12 +99,15 @@ TEST_F(DatasetTest, ReduceByKeySums) {
 }
 
 TEST_F(DatasetTest, ReduceByKeyWithoutMapSideCombine) {
+  RunConfig cfg = Config();
+  cfg.disable_map_side_combine = true;
+  GeoCluster cluster(Ec2SixRegionTopology(100), cfg);
   std::vector<Record> records;
   for (int i = 0; i < 60; ++i) {
     records.push_back({"g" + std::to_string(i % 3), std::int64_t{2}});
   }
-  auto result = cluster_.Parallelize("grouped", records)
-                    .ReduceByKey(SumInt64(), 4, /*map_side_combine=*/false)
+  auto result = cluster.Parallelize("grouped", records)
+                    .ReduceByKey(SumInt64(), 4)
                     .Collect();
   ASSERT_EQ(result.size(), 3u);
   for (const Record& r : result) {

@@ -64,7 +64,7 @@ TEST(EvaluatorTest, ShuffledBoundaryAppliesProcessShard) {
   ShuffleInfo info;
   info.id = 0;
   info.partitioner = std::make_shared<HashPartitioner>(2);
-  info.reduce_combine = SumInt64();
+  info.combine = SumInt64();
   auto s = std::make_shared<ShuffledRdd>(1, "s", Source(0), info);
 
   EvalStart start;
@@ -83,7 +83,7 @@ TEST(EvaluatorTest, CacheHitSkipsProcessShard) {
   ShuffleInfo info;
   info.id = 0;
   info.partitioner = std::make_shared<HashPartitioner>(2);
-  info.reduce_combine = SumInt64();
+  info.combine = SumInt64();
   info.sort_by_key = true;
   auto s = std::make_shared<ShuffledRdd>(1, "s", Source(0), info);
   s->set_cached(true);
@@ -220,7 +220,7 @@ TEST(EvaluatorTest, ComputeTaskCountsRecordsAcrossChunks) {
   ShuffleInfo info;
   info.id = 0;
   info.partitioner = std::make_shared<HashPartitioner>(2);
-  info.reduce_combine = SumInt64();
+  info.combine = SumInt64();
   auto s = std::make_shared<ShuffledRdd>(1, "s", Source(0), info);
 
   TaskComputeSpec spec;

@@ -73,11 +73,11 @@ TEST(ShuffledRddTest, PartitionCountFollowsPartitioner) {
 
 TEST(ShuffledRddTest, ProcessShardCombines) {
   ShuffleInfo info = BasicShuffle(0, 2);
-  info.reduce_combine = SumInt64();
+  info.combine = SumInt64();
   auto s = std::make_shared<ShuffledRdd>(1, "s", Source2(), info);
-  auto out = s->ProcessShard({{"x", std::int64_t{1}},
-                              {"y", std::int64_t{5}},
-                              {"x", std::int64_t{2}}});
+  auto out = s->ProcessShard({MakeRecords({{"x", std::int64_t{1}},
+                                           {"y", std::int64_t{5}},
+                                           {"x", std::int64_t{2}}})});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(std::get<std::int64_t>(out[0].value), 3);
 }
@@ -86,9 +86,9 @@ TEST(ShuffledRddTest, ProcessShardGroups) {
   ShuffleInfo info = BasicShuffle(0, 2);
   info.group_values = true;
   auto s = std::make_shared<ShuffledRdd>(1, "s", Source2(), info);
-  auto out = s->ProcessShard({{"x", std::string("1")},
-                              {"y", std::string("2")},
-                              {"x", std::string("3")}});
+  auto out = s->ProcessShard({MakeRecords({{"x", std::string("1")},
+                                           {"y", std::string("2")},
+                                           {"x", std::string("3")}})});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(std::get<std::vector<std::string>>(out[0].value),
             (std::vector<std::string>{"1", "3"}));
@@ -98,9 +98,9 @@ TEST(ShuffledRddTest, ProcessShardSorts) {
   ShuffleInfo info = BasicShuffle(0, 2);
   info.sort_by_key = true;
   auto s = std::make_shared<ShuffledRdd>(1, "s", Source2(), info);
-  auto out = s->ProcessShard({{"c", std::monostate{}},
-                              {"a", std::monostate{}},
-                              {"b", std::monostate{}}});
+  auto out = s->ProcessShard({MakeRecords({{"c", std::monostate{}},
+                                           {"a", std::monostate{}},
+                                           {"b", std::monostate{}}})});
   EXPECT_EQ(out[0].key, "a");
   EXPECT_EQ(out[1].key, "b");
   EXPECT_EQ(out[2].key, "c");
@@ -109,7 +109,7 @@ TEST(ShuffledRddTest, ProcessShardSorts) {
 TEST(ShuffledRddTest, GroupAndCombineAreExclusive) {
   ShuffleInfo info = BasicShuffle(0, 2);
   info.group_values = true;
-  info.reduce_combine = SumInt64();
+  info.combine = SumInt64();
   EXPECT_THROW(ShuffledRdd(1, "s", Source2(), info), CheckFailure);
 }
 

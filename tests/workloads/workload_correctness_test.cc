@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <string_view>
 
+#include "common/hash.h"
 #include "workloads/hibench.h"
 
 namespace gs {
@@ -63,6 +66,73 @@ TEST_P(WorkloadEquivalenceTest, AllSchemesProduceIdenticalResults) {
 INSTANTIATE_TEST_SUITE_P(HiBench, WorkloadEquivalenceTest,
                          ::testing::ValuesIn(AllWorkloadNames()),
                          [](const auto& info) { return info.param; });
+
+// FNV-1a digest of key-sorted records: every key, every value's variant
+// index, every int64 and every double's bits, and every term string.
+std::uint64_t RecordsDigest(const std::vector<Record>& records) {
+  std::uint64_t h = kFnvOffsetBasis;
+  auto mix_bytes = [&h](const void* p, std::size_t n) {
+    h = Fnv1a64(std::string_view(static_cast<const char*>(p), n), h);
+  };
+  auto mix_word = [&mix_bytes](auto x) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof x == sizeof bits);
+    std::memcpy(&bits, &x, sizeof bits);
+    mix_bytes(&bits, sizeof bits);
+  };
+  auto mix_string = [&](const std::string& s) {
+    mix_word(static_cast<std::uint64_t>(s.size()));
+    mix_bytes(s.data(), s.size());
+  };
+  for (const Record& r : SortedRecords(records)) {
+    mix_string(r.key);
+    mix_word(static_cast<std::uint64_t>(r.value.index()));
+    if (const auto* i = std::get_if<std::int64_t>(&r.value)) {
+      mix_word(*i);
+    } else if (const auto* d = std::get_if<double>(&r.value)) {
+      mix_word(*d);
+    } else if (const auto* v = std::get_if<std::vector<TermWeight>>(&r.value)) {
+      mix_word(static_cast<std::uint64_t>(v->size()));
+      for (const auto& [term, weight] : *v) {
+        mix_string(term);
+        mix_word(weight);
+      }
+    } else {
+      ADD_FAILURE() << "unexpected value type in " << ToString(r);
+    }
+  }
+  return h;
+}
+
+// Pins the collected output of the three ReduceByKey workloads bit for bit
+// under every scheme. PageRank and NaiveBayes are the only workloads that
+// reduce with MergeTermWeights, whose floating-point summation order no
+// golden RunReport covers.
+struct PinnedDigest {
+  const char* workload;
+  std::uint64_t digest;
+};
+
+void PrintTo(const PinnedDigest& p, std::ostream* os) { *os << p.workload; }
+
+class WorkloadDigestTest : public ::testing::TestWithParam<PinnedDigest> {};
+
+TEST_P(WorkloadDigestTest, CollectedRecordsMatchPinnedDigest) {
+  for (Scheme scheme :
+       {Scheme::kSpark, Scheme::kCentralized, Scheme::kAggShuffle}) {
+    const RunResult r = RunWorkload(GetParam().workload, scheme);
+    ASSERT_FALSE(r.records.empty());
+    EXPECT_EQ(RecordsDigest(r.records), GetParam().digest)
+        << GetParam().workload << " under " << SchemeName(scheme);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ReduceByKey, WorkloadDigestTest,
+    ::testing::Values(PinnedDigest{"WordCount", 780325083016066340ull},
+                      PinnedDigest{"PageRank", 2644448448367530461ull},
+                      PinnedDigest{"NaiveBayes", 17945781971356680881ull}),
+    [](const auto& info) { return std::string(info.param.workload); });
 
 TEST(WorkloadCorrectnessTest, WordCountTotalsMatchInputWordCount) {
   RunResult r = RunWorkload("WordCount", Scheme::kAggShuffle);
