@@ -1,14 +1,14 @@
 // JCT-vs-dollars frontier across shuffle transports (docs/TRANSPORTS.md,
 // docs/PERF.md).
 //
-// Sweeps every ShuffleTransport backend (direct, objstore, fabric) under
+// Sweeps every ShuffleTransport kind (direct, objstore, fabric) under
 // all three schemes on two topologies: the paper's WAN-priced six-region
 // EC2 cluster (heterogeneous egress tariff) and a uniform four-DC mesh
 // (flat tariff). Each cell reports the simulated JCT and the total dollar
 // cost, split into internet-egress and object-store components — one row
 // per (topology, scheme, transport) point of the frontier.
 //
-// The sweep pins the trade the ObjectStoreTransport exists to expose: on
+// The sweep pins the trade the object-store transport exists to expose: on
 // the WAN-priced cluster, staging is strictly cheaper (staged bytes ride
 // the backbone tariff instead of internet egress) and strictly slower
 // (store-and-forward barrier, request latencies, shared tier rate) than

@@ -55,14 +55,9 @@ void ValidateConfig(const RunConfig& cfg, const Topology& topo) {
                "transport.object_store.dc out of range");
   GS_CHECK_MSG(std::isfinite(os.rate) && os.rate > 0,
                "transport.object_store.rate must be finite and > 0");
-  GS_CHECK_MSG(FiniteNonNegative(os.put_latency) &&
-                   FiniteNonNegative(os.get_latency),
-               "transport.object_store latencies must be finite and >= 0");
-  GS_CHECK_MSG(FiniteNonNegative(os.put_usd_per_gib) &&
-                   FiniteNonNegative(os.get_usd_per_gib) &&
-                   FiniteNonNegative(os.storage_usd_per_gib) &&
-                   FiniteNonNegative(os.transfer_usd_per_gib),
-               "transport.object_store prices must be finite and >= 0");
+  GS_CHECK_MSG(FiniteNonNegative(os.request_latency),
+               "transport.object_store.request_latency must be finite and "
+               ">= 0");
 
   GS_CHECK_MSG(std::isfinite(t.fabric.rate) && t.fabric.rate > 0,
                "transport.fabric.rate must be finite and > 0");
@@ -137,9 +132,10 @@ GeoCluster::GeoCluster(Topology topo, RunConfig config)
   network_ = std::make_unique<Network>(sim_, topo_, config_.net,
                                        root_rng_.Split("net-jitter"),
                                        registry_.get());
-  // Must precede any flow: backends register their service resources here.
-  transport_ = MakeTransport(config_.transport, config_.scale, sim_,
-                             *network_, registry_.get());
+  // Must precede any flow: the transport registers its service resources
+  // here.
+  transport_ = std::make_unique<ShuffleTransport>(
+      config_.transport, config_.scale, *network_, registry_.get());
   if (registry_ != nullptr && config_.observe.utilization_bucket > 0) {
     network_->EnableUtilization(config_.observe.utilization_bucket);
   }
@@ -627,16 +623,9 @@ RunReport GeoCluster::BuildReport(const JobMetrics& job,
   // Bytes staged through an object store skip the egress tariff and are
   // billed by the store tariff instead; with no store flows the split is
   // exactly the old CostUsd (direct reports stay byte-identical).
-  ObjectStoreTariff tariff;
-  tariff.put_usd_per_gib = config_.transport.object_store.put_usd_per_gib;
-  tariff.get_usd_per_gib = config_.transport.object_store.get_usd_per_gib;
-  tariff.storage_usd_per_gib =
-      config_.transport.object_store.storage_usd_per_gib;
-  tariff.transfer_usd_per_gib =
-      config_.transport.object_store.transfer_usd_per_gib;
   report.egress_cost_usd = pricing.EgressCostUsd(network_->meter(), topo_);
-  report.store_cost_usd =
-      WanPricing::StoreCostUsd(network_->meter(), topo_, tariff);
+  report.store_cost_usd = WanPricing::StoreCostUsd(network_->meter(), topo_,
+                                                   ObjectStoreTariff{});
   report.cost_usd = report.egress_cost_usd + report.store_cost_usd;
   report.cost_usd_full_scale = report.cost_usd * config_.scale;
   if (config_.transport.kind != TransportKind::kDirect) {

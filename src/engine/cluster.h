@@ -108,7 +108,7 @@ class GeoCluster {
   const RunConfig& config() const { return config_; }
   Simulator& simulator() { return sim_; }
   Network& network() { return *network_; }
-  // Shuffle-transport backend selected by RunConfig::transport.kind
+  // Shuffle transport of the kind RunConfig::transport.kind selects
   // (engine/transport/transport.h, docs/TRANSPORTS.md).
   ShuffleTransport& transport() { return *transport_; }
   BlockManager& blocks() { return *blocks_; }

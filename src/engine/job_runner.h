@@ -66,10 +66,10 @@ class JobRunner {
 
   // Notification from GeoCluster::SetWanDegradation: a WAN link changed
   // capacity (degradation or restore). With adaptive replanning on
-  // (AdaptiveConfig::enabled, no pin), re-runs the placement policy for
-  // every in-flight transfer stage and moves not-yet-started receiver
-  // shards off newly-inferior datacenters (docs/ADAPTIVE.md). A no-op
-  // otherwise.
+  // (AdaptiveConfig::enabled, no pin), re-ranks the aggregator
+  // datacenters of every in-flight transfer stage and moves
+  // not-yet-started receiver shards off newly-inferior datacenters
+  // (docs/ADAPTIVE.md). A no-op otherwise.
   void OnWanDegraded(DcIndex src, DcIndex dst);
 
  private:
@@ -249,11 +249,12 @@ class JobRunner {
   void RerunProducer(TaskRun& receiver);
 
   // --- adaptive replanning (docs/ADAPTIVE.md) ---
-  // Re-runs the placement policy for every in-flight transfer stage, rate
-  // limited per stage: moves not-yet-started receiver shards off
-  // datacenters the policy now ranks worse (hysteresis-guarded) and
-  // degrades individual shards push->fetch when their push path's measured
-  // bandwidth fell below kDegradeThreshold x base rate. ReceiverPlacement
+  // Re-ranks the aggregator datacenters of every in-flight transfer stage,
+  // rate limited per stage: moves not-yet-started receiver shards off
+  // datacenters the bandwidth-aware ranking now puts lower
+  // (hysteresis-guarded) and degrades individual shards push->fetch when
+  // their push path's measured bandwidth fell below kDegradeThreshold x
+  // base rate. ReceiverPlacement
   // decides; this applies its decisions to the receiver tasks.
   void ReplanReceivers();
   // One consumer stage's replanning pass; returns true if anything moved.

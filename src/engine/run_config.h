@@ -50,10 +50,10 @@ enum class TransportKind {
 
 const char* TransportKindName(TransportKind kind);
 
-// ObjectStoreTransport backend settings. Rates and prices describe the
-// full-scale system; GeoCluster divides the rate by RunConfig::scale like
-// every other capacity, so time and traffic ratios are preserved at bench
-// scales. Pricing fields mirror netsim/pricing.h::ObjectStoreTariff.
+// Object-store transport settings. The rate describes the full-scale
+// system; GeoCluster divides it by RunConfig::scale like every other
+// capacity, so time and traffic ratios are preserved at bench scales.
+// Staged bytes are billed at netsim/pricing.h::ObjectStoreTariff's rates.
 struct ObjectStoreConfig {
   // Datacenter hosting the staging bucket. kNoDc (default) stages each
   // shard in its producer's own datacenter — PUTs stay local and only the
@@ -64,18 +64,11 @@ struct ObjectStoreConfig {
   // (full scale; shared max-min by that tier's PUT and GET flows).
   Rate rate = Gbps(4);
 
-  // Request round-trip added to a leg's connection setup.
-  SimTime put_latency = Millis(30);
-  SimTime get_latency = Millis(30);
-
-  // USD per GiB (see ObjectStoreTariff for semantics).
-  double put_usd_per_gib = 0.005;
-  double get_usd_per_gib = 0.0005;
-  double storage_usd_per_gib = 0.001;
-  double transfer_usd_per_gib = 0.05;
+  // Request round-trip added to each PUT's and GET's connection setup.
+  SimTime request_latency = Millis(30);
 };
 
-// FabricTransport backend settings: an RDMA-class intra-DC interconnect.
+// Fabric transport settings: an RDMA-class intra-DC interconnect.
 // Shuffle legs inside one datacenter bypass both endpoint NICs and share
 // the fabric's aggregate capacity instead; the histogram exchange that
 // precomputes receive areas (partition-size agreement before the one-sided
@@ -87,8 +80,8 @@ struct FabricConfig {
   SimTime exchange_latency = Millis(2);
 };
 
-// Shuffle-transport selection and the per-backend settings. Push retries
-// after a receiver's node dies follow fixed constants whichever backend
+// Shuffle-transport selection and the per-kind settings. Push retries
+// after a receiver's node dies follow fixed constants whichever kind
 // runs (kMaxPushRetries and the backoff in engine/job_runner.cc).
 struct TransportConfig {
   TransportKind kind = TransportKind::kDirect;
@@ -110,7 +103,7 @@ struct AdaptiveConfig {
   bool enabled = false;
 
   // Forces every automatic transferTo into this datacenter and disables
-  // replanning — the "offline oracle" backend used by bench_adaptive to
+  // replanning — the "offline oracle" arm used by bench_adaptive to
   // bound how much any online policy could win. kNoDc = disabled.
   DcIndex pin_dc = kNoDc;
 };

@@ -32,9 +32,9 @@ struct RunReport {
   // Bump when the JSON layout changes incompatibly.
   // v2: per-job `jobs` array; job section gained job_id/tenant/submitted/
   //     queue_delay (multi-tenant service, docs/SERVICE.md).
-  //     Additive, still v2: runs under a non-direct ShuffleTransport gain a
+  //     Additive, still v2: runs under a non-direct transport kind gain a
   //     top-level `transport` key and an egress/store cost breakdown in the
-  //     cost section (absent under DirectTransport, keeping direct reports
+  //     cost section (absent under the direct kind, keeping direct reports
   //     byte-identical to pre-transport ones).
   //     Additive, still v2: adaptive runs (AdaptiveConfig::enabled) gain a
   //     top-level `adaptive` key and replans/receivers_moved/
@@ -110,7 +110,7 @@ struct RunReport {
 
   // Total dollar cost so far — WanPricing egress on the cross-datacenter
   // bytes plus the object-store bill for staged traffic (zero except under
-  // ObjectStoreTransport) — and the same extrapolated to full scale
+  // the object-store transport) — and the same extrapolated to full scale
   // (divide by `scale`).
   double cost_usd = 0;
   double cost_usd_full_scale = 0;

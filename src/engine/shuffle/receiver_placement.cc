@@ -1,6 +1,8 @@
 #include "engine/shuffle/receiver_placement.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <string>
 
 #include "common/check.h"
@@ -31,8 +33,7 @@ ReceiverPlacement::ReceiverPlacement(GeoCluster& cluster, Rng& rng,
       topo_(cluster.topology()),
       config_(cluster.config()),
       rng_(rng),
-      metrics_(metrics),
-      policy_(MakeAggregatorPolicy(cluster.config())) {}
+      metrics_(metrics) {}
 
 void ReceiverPlacement::ChooseAggregators(const Stage& producer) {
   // Sec. IV-D: the datacenter storing the largest amount of map input,
@@ -42,7 +43,7 @@ void ReceiverPlacement::ChooseAggregators(const Stage& producer) {
     targets = {producer.consumer_transfer->target_dc()};
   } else {
     const std::vector<Bytes> per_dc = StageInputPerDc(producer);
-    targets = ChooseAggregatorDcs(PolicyContext(), per_dc);
+    targets = ChooseAggregatorDcs(per_dc);
   }
   std::string target_names;
   for (DcIndex dc : targets) {
@@ -142,18 +143,17 @@ std::optional<bool> ReceiverPlacement::Retarget(const Stage& producer) {
   }
   Plan& plan = plans_[producer.transfer_consumer];
   const std::vector<Bytes> per_dc = StageInputPerDc(producer);
-  const AggregatorPlacementPolicy::Context ctx = PolicyContext();
-  std::vector<DcIndex> ranking = ChooseAggregatorDcs(ctx, per_dc);
+  std::vector<DcIndex> ranking = ChooseAggregatorDcs(per_dc);
 
   // Hysteresis on the primary choice: abandon the current subset only when
-  // the policy scores the new best at least kReplanHysteresis times
-  // cheaper — an estimate barely better than the incumbent is noise, and
-  // moving on it would thrash placements on every jitter wobble. The
-  // static policy scores every datacenter 0, so it can never trigger a move.
+  // the new best is estimated at least kReplanHysteresis times cheaper —
+  // an estimate barely better than the incumbent is noise, and moving on
+  // it would thrash placements on every jitter wobble. Only the
+  // bandwidth-aware ranking gets here (ReplansOnWanChange).
   bool retargeted = false;
   if (ranking != plan.dcs) {
-    const double cur = policy_->Score(ctx, per_dc, plan.dcs.front());
-    const double alt = policy_->Score(ctx, per_dc, ranking.front());
+    const double cur = EstimatedAggregationSeconds(per_dc, plan.dcs.front());
+    const double alt = EstimatedAggregationSeconds(per_dc, ranking.front());
     if (alt * kReplanHysteresis < cur) {
       GS_LOG_INFO << "replan: stage " << producer.transfer_consumer
                   << " aggregator " << topo_.datacenter(plan.dcs.front()).name
@@ -309,20 +309,69 @@ void ReceiverPlacement::CountPlacementMiss() {
   }
 }
 
-AggregatorPlacementPolicy::Context ReceiverPlacement::PolicyContext() {
-  AggregatorPlacementPolicy::Context ctx;
-  ctx.topo = &topo_;
-  ctx.net = &cluster_.network();
-  ctx.config = &config_;
-  ctx.rng = &rng_;
-  return ctx;
+// Every ordering stable-sorts the identity ranking, so ties keep index
+// order; kRandom consumes one Rng::Shuffle of the full vector.
+std::vector<DcIndex> ReceiverPlacement::Rank(
+    const std::vector<Bytes>& per_dc) {
+  GS_CHECK(static_cast<int>(per_dc.size()) == topo_.num_datacenters());
+  std::vector<DcIndex> ranking(per_dc.size());
+  std::iota(ranking.begin(), ranking.end(), 0);
+  auto sort_by = [&ranking](auto before) {
+    std::stable_sort(ranking.begin(), ranking.end(), before);
+  };
+  const DcIndex pin = config_.adaptive.pin_dc;
+  if (pin != kNoDc) {
+    sort_by([pin](DcIndex a, DcIndex b) { return (a == pin) > (b == pin); });
+  } else if (config_.adaptive.enabled) {
+    std::vector<double> score(per_dc.size());
+    for (DcIndex dc = 0; dc < static_cast<DcIndex>(score.size()); ++dc) {
+      score[dc] = EstimatedAggregationSeconds(per_dc, dc);
+    }
+    sort_by([&](DcIndex a, DcIndex b) {
+      if (score[a] != score[b]) return score[a] < score[b];
+      // Equal estimated times (e.g. an idle symmetric mesh): prefer the
+      // larger input, like Eq. 2.
+      return per_dc[a] > per_dc[b];
+    });
+  } else {
+    switch (config_.aggregator_policy) {
+      case AggregatorPolicy::kRandom:
+        rng_.Shuffle(ranking);
+        break;
+      case AggregatorPolicy::kSmallestInput:
+        sort_by([&](DcIndex a, DcIndex b) { return per_dc[a] < per_dc[b]; });
+        break;
+      case AggregatorPolicy::kLargestInput:
+        sort_by([&](DcIndex a, DcIndex b) { return per_dc[a] > per_dc[b]; });
+        break;
+    }
+  }
+  return ranking;
+}
+
+// Input already inside the candidate costs nothing — which is exactly why
+// Eq. 2's largest-input choice wins on healthy links, and why a degraded
+// ingress link overturns it.
+double ReceiverPlacement::EstimatedAggregationSeconds(
+    const std::vector<Bytes>& per_dc, DcIndex dc) const {
+  double seconds = 0;
+  for (DcIndex src = 0; src < static_cast<DcIndex>(per_dc.size()); ++src) {
+    const Bytes bytes = per_dc[src];
+    if (src == dc || bytes == 0) continue;
+    if (topo_.wan_link_index(src, dc) < 0) {
+      return std::numeric_limits<double>::infinity();  // unreachable
+    }
+    const Rate bw = cluster_.network().EstimateWanBandwidth(
+        src, dc, kBandwidthEstimateWindow);
+    if (bw <= 0) return std::numeric_limits<double>::infinity();
+    seconds += static_cast<double>(bytes) / bw;
+  }
+  return seconds;
 }
 
 std::vector<DcIndex> ReceiverPlacement::ChooseAggregatorDcs(
-    const AggregatorPlacementPolicy::Context& ctx,
     const std::vector<Bytes>& per_dc) {
-  std::vector<DcIndex> ranking = policy_->Rank(ctx, per_dc);
-  GS_CHECK(static_cast<int>(ranking.size()) == topo_.num_datacenters());
+  std::vector<DcIndex> ranking = Rank(per_dc);
   const int k = std::clamp(config_.aggregator_dc_count, 1,
                            topo_.num_datacenters());
   ranking.resize(k);

@@ -3,16 +3,25 @@
 //
 // Receivers are tasks, so JobRunner keeps them, with the push data path
 // and its recovery. This unit owns each receiver stage's plan (its
-// aggregator datacenters and round-robin cursor) and the placement policy,
-// and returns node and push->fetch fallback decisions for JobRunner to
-// apply. JobRunner calls it when a transfer producer stage is submitted
-// (ChooseAggregators), when a producer task is assigned (Place), when a
-// receiver is recovered after a crash (PickNode) and on a WAN change
-// (RateLimit, Retarget, ReplanShard).
+// aggregator datacenters and round-robin cursor) and the ranking of
+// datacenters, and returns node and push->fetch fallback decisions for
+// JobRunner to apply. JobRunner calls it when a transfer producer stage is
+// submitted (ChooseAggregators), when a producer task is assigned (Place),
+// when a receiver is recovered after a crash (PickNode) and on a WAN
+// change (RateLimit, Retarget, ReplanShard).
+//
+// The ranking is one of a closed set, fixed by RunConfig:
+//  * pinned (AdaptiveConfig::pin_dc) — forces one datacenter; the
+//    offline-oracle arm of bench_adaptive. The rest follow in index order.
+//  * bandwidth-aware (AdaptiveConfig::enabled) — by the estimated time to
+//    aggregate the stage's input in each datacenter over the measured WAN
+//    (Network::EstimateWanBandwidth); a degraded ingress link overturns
+//    Eq. 2's choice, and the replanner re-ranks on WAN changes.
+//  * static (the default) — the paper's Eq. 2 largest input, or the
+//    kRandom / kSmallestInput ablation orderings (AggregatorPolicy).
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -20,13 +29,18 @@
 #include "common/rng.h"
 #include "dag/stage.h"
 #include "engine/cluster.h"
-#include "engine/placement_policy.h"
 
 namespace gs {
 
+// Trailing window of the per-link bandwidth estimate
+// (Network::EstimateWanBandwidth) read by the bandwidth-aware ranking and
+// by the replanner's push->fetch fallback: utilization buckets older than
+// this are exponentially discounted.
+constexpr SimTime kBandwidthEstimateWindow = Seconds(10);
+
 class ReceiverPlacement {
  public:
-  // `rng` is the job's stream (the static kRandom ordering draws from it);
+  // `rng` is the job's stream (the kRandom ordering draws from it);
   // placement misses are counted in `metrics`.
   ReceiverPlacement(GeoCluster& cluster, Rng& rng, JobMetrics& metrics);
   // Catch-up replanning events hold its address.
@@ -35,7 +49,7 @@ class ReceiverPlacement {
 
   // Decides the aggregator datacenters of `producer`'s receiver stage when
   // the producer is submitted: the application's pinned target, or the
-  // top-k of the placement policy over the stage's input per datacenter.
+  // top-k of the ranking over the stage's input per datacenter.
   void ChooseAggregators(const Stage& producer);
   // Picks the receiver's node the moment its producer is placed on
   // `producer_node`, so the push can start straight at producer completion
@@ -57,7 +71,7 @@ class ReceiverPlacement {
   // the window expires, so WAN changes inside it are absorbed, not lost.
   // `pass` returns false when the stage no longer replans.
   void RateLimit(StageId consumer, std::function<bool()> pass);
-  // Re-runs the placement policy for `producer`'s receiver stage and moves
+  // Re-ranks the datacenters for `producer`'s receiver stage and moves
   // its aggregator subset when the new best is kReplanHysteresis times
   // cheaper. Returns whether it moved, or nullopt when the application
   // pinned the transfer's destination (nothing replans).
@@ -98,13 +112,16 @@ class ReceiverPlacement {
   // (cached cuts credited to the nearest live replica; see
   // ChooseAggregatorDcs).
   std::vector<Bytes> StageInputPerDc(const Stage& producer);
-  AggregatorPlacementPolicy::Context PolicyContext();
-  // The top-k datacenters ranked by the placement policy over `per_dc`
-  // (k = aggregator_dc_count); the static policy reproduces Eq. 2 exactly,
-  // the bandwidth-aware one scores by estimated aggregation time.
-  std::vector<DcIndex> ChooseAggregatorDcs(
-      const AggregatorPlacementPolicy::Context& ctx,
-      const std::vector<Bytes>& per_dc);
+  // Every datacenter, best first, by the ranking RunConfig selects.
+  std::vector<DcIndex> Rank(const std::vector<Bytes>& per_dc);
+  // Estimated seconds to move the input held outside `dc` into it over the
+  // measured WAN (infinite when a needed link is missing or estimated at
+  // 0); the
+  // bandwidth-aware ranking's score and the replanner's hysteresis test.
+  double EstimatedAggregationSeconds(const std::vector<Bytes>& per_dc,
+                                     DcIndex dc) const;
+  // The top-k of Rank(per_dc) (k = aggregator_dc_count).
+  std::vector<DcIndex> ChooseAggregatorDcs(const std::vector<Bytes>& per_dc);
   // Satellite fix: a cached partition whose every replica is dead or
   // evicted at planning time is counted, not just logged.
   void CountPlacementMiss();
@@ -115,7 +132,6 @@ class ReceiverPlacement {
   const RunConfig& config_;
   Rng& rng_;
   JobMetrics& metrics_;
-  std::unique_ptr<AggregatorPlacementPolicy> policy_;
   std::unordered_map<StageId, Plan> plans_;  // by receiver stage
 };
 

@@ -1,5 +1,5 @@
-// ShuffleTransport: pluggable mechanism moving a produced shard's bytes to
-// its consumers (docs/TRANSPORTS.md).
+// ShuffleTransport: the mechanism moving a produced shard's bytes to its
+// consumers (docs/TRANSPORTS.md).
 //
 // The job runner owns shuffle *policy* — what to transfer, where the
 // receiver lives, retry/fallback/fetch-failure recovery (epoch guards) —
@@ -14,38 +14,37 @@
 //  * `on_landed` must eventually fire through the simulator, exactly once.
 //    It is epoch-guarded by the runner: if the destination task was
 //    restarted meanwhile, the callback no-ops and the in-flight bytes are
-//    wasted — the same semantics as a stale direct fetch, so PR-1 recovery
+//    wasted — the same semantics as a stale direct fetch, so recovery
 //    (fetch-failure re-validation, push retry, push -> fetch fallback)
-//    works unchanged under every backend.
+//    works unchanged under every kind.
 //  * Non-shuffle kinds (cache/source reads the runner also routes here)
-//    always take the direct node-to-node path; backends only specialize
-//    kShuffleFetch/kShufflePush.
+//    always take the direct node-to-node path; only kShuffleFetch and
+//    kShufflePush legs depend on the kind.
 //
-// Three backends ship (engine/transport/*_transport.h):
-//   DirectTransport      — plain node-to-node flows; bit-identical to the
-//                          pre-interface behavior.
-//   ObjectStoreTransport — PUT to a storage tier, then GET to the
-//                          consumer; trades JCT for egress dollars.
-//   FabricTransport      — RDMA-class intra-DC fabric legs; WAN legs stay
-//                          direct.
+// The kinds are a closed set (TransportKind), picked by one switch per
+// Transfer():
+//   kDirect      — plain node-to-node flows, the paper's model.
+//   kObjectStore — PUT to a storage tier, then GET to the consumer once
+//                  the PUT lands; trades JCT for egress dollars.
+//   kFabric      — RDMA-class legs inside one datacenter; WAN legs stay
+//                  direct.
 #pragma once
 
 #include <functional>
-#include <memory>
+#include <vector>
 
 #include "common/ids.h"
 #include "common/metrics_registry.h"
 #include "common/units.h"
 #include "engine/run_config.h"
 #include "netsim/network.h"
-#include "simcore/simulator.h"
 
 namespace gs {
 
 // One shuffle leg: `bytes` of shard data moving from the node holding them
 // to the node consuming them. `kind` is the logical accounting category
 // (kShuffleFetch / kShufflePush for shuffle legs; kOther for cache and
-// source reads, which backends pass through directly).
+// source reads, which always move directly).
 struct ShardTransfer {
   NodeIndex src = kNoNode;
   NodeIndex dst = kNoNode;
@@ -56,39 +55,38 @@ struct ShardTransfer {
 
 class ShuffleTransport {
  public:
-  ShuffleTransport(Simulator& sim, Network& net) : sim_(sim), net_(net) {}
-  virtual ~ShuffleTransport() = default;
+  // Registers the kind's service resources against `net`, one per
+  // datacenter in datacenter order (object-store tiers or fabrics; none
+  // for kDirect), so no flow may have started yet. `scale` divides the
+  // configured full-scale rates like every other capacity
+  // (RunConfig::scale). `metrics` may be null; the transport.* counters
+  // are registered only by the kind that bumps them, keeping direct runs'
+  // metric snapshots untouched.
+  ShuffleTransport(const TransportConfig& config, double scale, Network& net,
+                   MetricsRegistry* metrics);
 
   ShuffleTransport(const ShuffleTransport&) = delete;
   ShuffleTransport& operator=(const ShuffleTransport&) = delete;
 
-  virtual TransportKind kind() const = 0;
-  const char* name() const { return TransportKindName(kind()); }
-
   // Moves the shard; consumes t.on_landed.
-  virtual void Transfer(ShardTransfer t) = 0;
+  void Transfer(ShardTransfer t);
 
- protected:
-  // The plain node-to-node flow every backend falls back to for
-  // non-shuffle kinds (and DirectTransport uses for everything).
-  void DirectFlow(ShardTransfer& t) {
-    net_.StartFlow(t.src, t.dst, t.bytes, t.kind, std::move(t.on_landed));
-  }
+ private:
+  // kObjectStore: the PUT into the staging datacenter's tier, chained to
+  // the GET out of it.
+  void Stage(ShardTransfer t);
 
-  Simulator& sim_;
+  TransportConfig config_;
   Network& net_;
+  // Per-datacenter service resource: the store tier or the fabric.
+  std::vector<int> service_res_;
+  // kObjectStore: the node whose address stands in for each datacenter's
+  // tier endpoint (fixes the DC for RTT and WAN-link routing of PUT/GET
+  // legs).
+  std::vector<NodeIndex> store_addr_;
+  Counter* store_puts_ = nullptr;
+  Counter* store_gets_ = nullptr;
+  Counter* fabric_transfers_ = nullptr;
 };
-
-// Builds the backend selected by `config.kind`, registering any service
-// resources (object-store tiers, fabrics) against `net` — so this must run
-// before any flow starts. `scale` divides the configured full-scale rates
-// like every other capacity (RunConfig::scale). `metrics` may be null;
-// backend counters (transport.store_puts, transport.fabric_transfers, ...)
-// are only registered by the backends that bump them, keeping direct runs'
-// metric snapshots untouched.
-std::unique_ptr<ShuffleTransport> MakeTransport(const TransportConfig& config,
-                                                double scale, Simulator& sim,
-                                                Network& net,
-                                                MetricsRegistry* metrics);
 
 }  // namespace gs

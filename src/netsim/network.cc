@@ -431,8 +431,8 @@ Rate Network::EstimateWanBandwidth(DcIndex src, DcIndex dst, SimTime window) {
   const Rate current = wan_current_[link] * degrade_[link];
   // Every return path goes through the same clamp: at least the 5%
   // headroom floor, and never 0 or non-finite — a full outage (degrade
-  // factor 0) collapses the floor itself to 0, and placement policies
-  // divide by this estimate, so an absolute 1 B/s backstop keeps their
+  // factor 0) collapses the floor itself to 0, and the aggregator ranking
+  // divides by this estimate, so an absolute 1 B/s backstop keeps its
   // scores finite and comparable.
   const auto clamp = [current](Rate r) {
     const Rate floor = std::max(0.05 * current, Rate{1});

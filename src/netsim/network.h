@@ -154,8 +154,8 @@ class Network {
   // finite. Service resources never jitter or degrade.
   int AddServiceResource(Rate capacity);
 
-  // Generalized flow description for transport backends (engine/transport/)
-  // whose legs do not match the plain node-to-node shape: a leg may skip
+  // Generalized flow description for transport legs (engine/transport/)
+  // that do not match the plain node-to-node shape: a leg may skip
   // either NIC (the far end is a storage tier, not a node), ride a service
   // resource, carry an extra setup latency (PUT/GET request round-trip,
   // histogram exchange) or a per-flow rate ceiling. The WAN leg — link
@@ -227,7 +227,7 @@ class Network {
   // reports progress. Falls back to wan_capacity when utilization
   // collection is off or `window` <= 0 (no measurements to subtract).
   // Reads only state the event loop already maintains, so calling it does
-  // not perturb simulation results (engine/placement_policy.h).
+  // not perturb simulation results (engine/shuffle/receiver_placement.h).
   Rate EstimateWanBandwidth(DcIndex src, DcIndex dst, SimTime window);
 
   // Degrades a directed WAN link to `factor` x its jittered capacity until

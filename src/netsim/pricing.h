@@ -16,8 +16,8 @@
 
 namespace gs {
 
-// Object-store tariff (ObjectStoreTransport, docs/TRANSPORTS.md): staged
-// shuffle bytes skip the per-region egress tariff and are billed instead
+// Object-store tariff (TransportKind::kObjectStore, docs/TRANSPORTS.md):
+// staged shuffle bytes skip the per-region egress tariff and are billed instead
 // at a flat backbone transfer rate plus per-GiB request/storage fees —
 // provider-internal replication to storage is cheaper than internet
 // egress, which is exactly the dollars-for-latency trade the transport

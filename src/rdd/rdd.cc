@@ -13,11 +13,6 @@ Rdd::Rdd(RddId id, RddKind kind, int num_partitions, std::string name)
   GS_CHECK(num_partitions > 0);
 }
 
-std::vector<NodeIndex> Rdd::PreferredLocations(int partition) const {
-  GS_CHECK(partition >= 0 && partition < num_partitions_);
-  return {};
-}
-
 void Rdd::AddParent(RddPtr parent) {
   GS_CHECK(parent != nullptr);
   parents_.push_back(std::move(parent));
@@ -33,10 +28,6 @@ SourceRdd::SourceRdd(RddId id, std::string name,
     GS_CHECK(p.node != kNoNode);
     GS_CHECK(p.bytes >= 0);
   }
-}
-
-std::vector<NodeIndex> SourceRdd::PreferredLocations(int partition) const {
-  return {partitions_.at(partition).node};
 }
 
 Bytes SourceRdd::total_bytes() const {
@@ -76,11 +67,6 @@ std::pair<int, int> UnionRdd::Resolve(int partition) const {
   }
   GS_CHECK_MSG(false, "unreachable");
   return {-1, -1};
-}
-
-std::vector<NodeIndex> UnionRdd::PreferredLocations(int partition) const {
-  auto [parent_idx, parent_part] = Resolve(partition);
-  return parents()[parent_idx]->PreferredLocations(parent_part);
 }
 
 ShuffledRdd::ShuffledRdd(RddId id, std::string name, RddPtr parent,

@@ -75,11 +75,6 @@ class Rdd {
   void set_cached(bool cached) { cached_ = cached; }
   bool cached() const { return cached_; }
 
-  // Static host-level placement preferences; kSource partitions know their
-  // HDFS-style block location. Dynamic preferences (shuffle input locality,
-  // aggregator placement) are computed by the DAG scheduler at runtime.
-  virtual std::vector<NodeIndex> PreferredLocations(int partition) const;
-
  protected:
   void AddParent(RddPtr parent);
 
@@ -107,7 +102,6 @@ class SourceRdd final : public Rdd {
   SourceRdd(RddId id, std::string name, std::vector<Partition> partitions);
 
   const Partition& partition(int p) const { return partitions_.at(p); }
-  std::vector<NodeIndex> PreferredLocations(int partition) const override;
 
   Bytes total_bytes() const;
 
@@ -141,8 +135,6 @@ class UnionRdd final : public Rdd {
 
   // Resolves a union partition to (parent index, parent partition).
   std::pair<int, int> Resolve(int partition) const;
-
-  std::vector<NodeIndex> PreferredLocations(int partition) const override;
 
  private:
   static int TotalPartitions(const std::vector<RddPtr>& rdds);

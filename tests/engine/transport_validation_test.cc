@@ -53,12 +53,7 @@ TEST(TransportValidationTest, RejectsBadObjectStoreSettings) {
   }
   {
     RunConfig cfg = ValidConfig();
-    cfg.transport.object_store.put_latency = kNan;
-    ExpectRejected(std::move(cfg));
-  }
-  {
-    RunConfig cfg = ValidConfig();
-    cfg.transport.object_store.transfer_usd_per_gib = -0.01;
+    cfg.transport.object_store.request_latency = kNan;
     ExpectRejected(std::move(cfg));
   }
   {

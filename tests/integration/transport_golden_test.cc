@@ -1,6 +1,6 @@
 // Transport golden regression: the fixed-seed workload of
 // netsim_determinism_test, run under each non-direct ShuffleTransport
-// backend, must serialize a byte-identical RunReport run after run and
+// kind, must serialize a byte-identical RunReport run after run and
 // commit after commit. Direct-transport behavior is pinned by the original
 // run_report_<Scheme>.json goldens (which this PR must not change); these
 // files pin the objstore and fabric paths — service-resource sharing, the

@@ -1,7 +1,8 @@
 // Network::EstimateWanBandwidth edge cases: zero-utilization windows and
 // just-degraded links must report usable, finite headroom — degraded
-// capacity with a 5% floor — never 0 or infinity, because placement
-// policies divide by the estimate (engine/placement_policy.h).
+// capacity with a 5% floor — never 0 or infinity, because the
+// bandwidth-aware aggregator ranking divides by the estimate
+// (engine/shuffle/receiver_placement.h).
 #include <gtest/gtest.h>
 
 #include <cmath>

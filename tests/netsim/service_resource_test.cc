@@ -1,5 +1,5 @@
 // Service resources and the FlowSpec StartFlow overload: the netsim
-// surface the ShuffleTransport backends build on (object-store tiers,
+// surface the object-store and fabric transports build on (store tiers,
 // RDMA fabrics). A service resource is an extra max-min-shared capacity
 // appended after the NIC and WAN resources; FlowSpec flows can skip either
 // endpoint NIC, ride a service resource, and add request latency to the

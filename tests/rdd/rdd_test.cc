@@ -29,9 +29,10 @@ TEST(SourceRddTest, PartitionsAndLocations) {
   RddPtr src = Source2();
   EXPECT_EQ(src->num_partitions(), 2);
   EXPECT_EQ(src->kind(), RddKind::kSource);
-  EXPECT_EQ(src->PreferredLocations(0), (std::vector<NodeIndex>{3}));
-  EXPECT_EQ(src->PreferredLocations(1), (std::vector<NodeIndex>{7}));
-  EXPECT_EQ(static_cast<SourceRdd&>(*src).total_bytes(), 300);
+  const auto& s = static_cast<const SourceRdd&>(*src);
+  EXPECT_EQ(s.partition(0).node, 3);
+  EXPECT_EQ(s.partition(1).node, 7);
+  EXPECT_EQ(s.total_bytes(), 300);
 }
 
 TEST(MapPartitionsRddTest, KeepsPartitioningAndParent) {
@@ -41,8 +42,6 @@ TEST(MapPartitionsRddTest, KeepsPartitioningAndParent) {
   EXPECT_EQ(mapped->num_partitions(), 2);
   EXPECT_EQ(mapped->parents().size(), 1u);
   EXPECT_EQ(mapped->parent().get(), src.get());
-  // Narrow transformations have no static placement preference.
-  EXPECT_TRUE(mapped->PreferredLocations(0).empty());
 }
 
 TEST(UnionRddTest, ResolvesPartitionsAcrossParents) {
@@ -54,8 +53,6 @@ TEST(UnionRddTest, ResolvesPartitionsAcrossParents) {
   EXPECT_EQ(u->Resolve(1), (std::pair<int, int>{0, 1}));
   EXPECT_EQ(u->Resolve(2), (std::pair<int, int>{1, 0}));
   EXPECT_EQ(u->Resolve(3), (std::pair<int, int>{1, 1}));
-  // Union forwards the resolved parent's preference.
-  EXPECT_EQ(u->PreferredLocations(3), (std::vector<NodeIndex>{7}));
 }
 
 TEST(UnionRddTest, OutOfRangeResolveThrows) {

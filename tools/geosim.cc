@@ -409,8 +409,8 @@ void ApplyTransport(const Options& opts, gs::RunConfig* cfg) {
     cfg->transport.object_store.rate = Gbps(opts.store_rate_gbps);
   }
   if (opts.store_latency_ms >= 0) {
-    cfg->transport.object_store.put_latency = Millis(opts.store_latency_ms);
-    cfg->transport.object_store.get_latency = Millis(opts.store_latency_ms);
+    cfg->transport.object_store.request_latency =
+        Millis(opts.store_latency_ms);
   }
   if (opts.fabric_rate_gbps > 0) {
     cfg->transport.fabric.rate = Gbps(opts.fabric_rate_gbps);
