@@ -1,12 +1,13 @@
 // Microbenchmarks (google-benchmark) of the simulation substrates: event
 // queue throughput, max-min fair-share recomputation, flow churn on the
-// six-region and a 12-DC synthetic topology, partitioner throughput and
-// the compression estimate (the combiner's rows are in
-// bench_micro_datapath). Provides its own main(): when GS_BENCH_JSON is set
-// (the run_benches.sh convention), results are also written to that path
-// in google-benchmark's JSON format.
+// six-region and a 12-DC synthetic topology (share-bound and cap-bound),
+// partitioner throughput and the compression estimate (the combiner's rows
+// are in bench_micro_datapath). Provides its own main(): when GS_BENCH_JSON
+// is set (the run_benches.sh convention), results are also written to that
+// path in google-benchmark's JSON format.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -106,6 +107,46 @@ void BM_FlowChurnTwelveDc(benchmark::State& state) {
 BENCHMARK(BM_FlowChurnTwelveDc)
     ->Arg(2048)
     ->Arg(8192)
+    ->Unit(benchmark::kMillisecond);
+
+// Cap-bound solves: every WAN flow carries a single-connection TCP cap,
+// and with one flow per WAN link of the twelve-DC mesh the link's fair
+// share rarely binds, so most freezes of each solve (about 80%) are cap
+// steps. This is the worst case of the solver's cap list, which is
+// rescanned after nearly every cap step. Each round starts one flow on
+// every directed DC pair and runs them to completion; the argument is the
+// number of rounds.
+void BM_FlowChurnCapLimited(benchmark::State& state) {
+  const int rounds = static_cast<int>(state.range(0));
+  std::int64_t flows = 0;
+  for (auto _ : state) {
+    gs::Simulator sim;
+    gs::Topology topo = TwelveDcTopology();
+    gs::Network net(sim, topo, gs::NetworkConfig{}, gs::Rng(7));
+    gs::Rng rng(13);
+    int done = 0;
+    for (int round = 0; round < rounds; ++round) {
+      for (gs::DcIndex s = 0; s < topo.num_datacenters(); ++s) {
+        for (gs::DcIndex d = 0; d < topo.num_datacenters(); ++d) {
+          if (s == d) continue;
+          const gs::NodeIndex src = topo.nodes_in(s)[static_cast<std::size_t>(
+              rng.UniformInt(0, 3))];
+          const gs::NodeIndex dst = topo.nodes_in(d)[static_cast<std::size_t>(
+              rng.UniformInt(0, 3))];
+          net.StartFlow(src, dst, gs::MiB(8) + rng.UniformInt(0, gs::MiB(56)),
+                        gs::FlowKind::kOther, [&done] { ++done; });
+          ++flows;
+        }
+      }
+      sim.Run();
+    }
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(flows);
+}
+BENCHMARK(BM_FlowChurnCapLimited)
+    ->Arg(4)
+    ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 void BM_HashPartitioner(benchmark::State& state) {

@@ -553,6 +553,9 @@ TaskComputeSpec JobRunner::ComputeSpec(const StageRun& sr, int partition,
     spec.combine = &sr.stage.pre_output_combine;
   }
   spec.output = sr.stage.output;
+  // A Save result sends the driver an ack, not its records (OnComputeDone).
+  spec.keep_records = sr.stage.output != StageOutputKind::kResult ||
+                      action_ == ActionKind::kCollect;
   if (sr.stage.consumer_shuffle != nullptr) {
     spec.consumer_shuffle = &sr.stage.consumer_shuffle->shuffle();
   }
@@ -696,7 +699,8 @@ void JobRunner::OnComputeDone(TaskRun& task, TaskComputeResult out) {
       } else {
         // Save: output persists on the workers via HDFS (replication
         // factor 3: one local write plus two in-datacenter copies); the
-        // driver gets an ack with the partition's record count.
+        // driver gets an ack with the partition's record count. The
+        // compute job already freed the records (ComputeSpec).
         out.records = {Record{std::to_string(task.partition),
                               static_cast<std::int64_t>(out.out_records)}};
         bytes = kSaveAckBytes;

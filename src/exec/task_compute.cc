@@ -108,7 +108,7 @@ TaskComputeResult ComputeTask(TaskComputeSpec spec) {
     // Pushed data is serialized and compressed like any shuffle stream.
     out.compressed_bytes = CompressedSize(records, out.out_bytes);
   }
-  out.records = std::move(records);
+  if (spec.keep_records) out.records = std::move(records);
   return out;
 }
 

@@ -42,13 +42,19 @@ struct TaskComputeSpec {
   StageOutputKind output = StageOutputKind::kResult;
   // Shuffle this stage writes into (kShuffleWrite only).
   const ShuffleInfo* consumer_shuffle = nullptr;
+  // Whether the result carries the computed records (kResult /
+  // kTransferProduce). False when the caller needs only their count and
+  // size, e.g. a Save result whose driver gets an ack: the records are
+  // then freed here, inside the compute job, not on the event loop.
+  bool keep_records = true;
 };
 
 // Outputs: computed records plus every size the event loop needs to cost
 // the task, so no record walk remains on the simulation thread.
 struct TaskComputeResult {
   // Computed partition (kResult / kTransferProduce). Empty for
-  // kShuffleWrite, whose records live in `shards`.
+  // kShuffleWrite, whose records live in `shards`, and when the spec does
+  // not keep them.
   std::vector<Record> records;
   std::vector<EvalResult::CacheFill> cache_fills;
 

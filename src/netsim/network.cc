@@ -33,10 +33,11 @@ constexpr double kStarvationRateFraction = 1e-9;
 // amortized rebuild cost per flow constant.
 constexpr int kRebuildMinRemovals = 64;
 
-// Min-heap ordering for (value, index) pairs via std::push_heap/pop_heap:
-// the front is the smallest value, ties broken toward the smaller index —
-// exactly the first-strict-minimum rule of the linear bottleneck scan this
-// heap replaces.
+// Min-heap ordering of the (share, resource) heap via std::push_heap/
+// pop_heap: the front is the smallest share, ties broken toward the smaller
+// resource index — exactly the first-strict-minimum rule of the linear
+// bottleneck scan this heap replaces. Only the shares form a heap; the TCP
+// caps are a list with a lower bound (SolveComponent).
 struct HeapLater {
   bool operator()(const std::pair<double, int>& a,
                   const std::pair<double, int>& b) const {
@@ -653,11 +654,24 @@ void Network::PushChangedShares(SolveScratch& s) {
   s.changed.clear();
 }
 
+void Network::RescanCaps(SolveScratch& s) {
+  // Drops the frozen flows' caps and takes the exact minimum of the rest,
+  // ties toward the smaller solve index — the order a (cap, idx) min-heap
+  // would pop them in.
+  std::size_t kept = 0;
+  for (const std::pair<double, int>& cap : s.caps) {
+    if (s.frozen[static_cast<std::size_t>(cap.second)]) continue;
+    if (kept == 0 || cap < s.cap_bound) s.cap_bound = cap;
+    s.caps[kept++] = cap;
+  }
+  s.caps.resize(kept);
+}
+
 void Network::SolveComponent(int c, SolveScratch& s) {
   Component& comp = comps_[static_cast<std::size_t>(c)];
   s.slots.clear();
   s.old_rate.clear();
-  s.cap_heap.clear();
+  s.caps.clear();
   s.share_heap.clear();
   s.res.clear();
   s.row_res.clear();
@@ -676,9 +690,11 @@ void Network::SolveComponent(int c, SolveScratch& s) {
     if (f->rate_cap > 0) {
       // Each capped flow gets a virtual resource holding only itself (its
       // single-connection TCP ceiling). Uncapped flows would have an
-      // infinite share — never the bottleneck, so they are not enqueued.
-      s.cap_heap.emplace_back(f->rate_cap,
-                              static_cast<int>(s.slots.size()) - 1);
+      // infinite share — never the bottleneck, so they are not listed.
+      const std::pair<double, int> cap(f->rate_cap,
+                                       static_cast<int>(s.slots.size()) - 1);
+      if (s.caps.empty() || cap < s.cap_bound) s.cap_bound = cap;
+      s.caps.push_back(cap);
     }
     s.res.push_back(f->res[0]);
     s.res.push_back(f->res[1]);
@@ -729,13 +745,16 @@ void Network::SolveComponent(int c, SolveScratch& s) {
     s.share_heap.emplace_back(rem_cap_[r] / res_count_[r], r);
   }
   std::make_heap(s.share_heap.begin(), s.share_heap.end(), HeapLater{});
-  std::make_heap(s.cap_heap.begin(), s.cap_heap.end(), HeapLater{});
   s.frozen.assign(static_cast<std::size_t>(n), 0);
 
-  // Progressive filling with lazy heaps: entries are invalidated by later
-  // freezes rather than updated in place, and validated on pop — a stale
-  // real-resource entry is one whose stored share no longer equals the
-  // resource's current fair share.
+  // Progressive filling with a lazy share heap: entries are invalidated by
+  // later freezes rather than updated in place, and validated on pop — a
+  // stale entry is one whose stored share no longer equals the resource's
+  // current fair share. The TCP caps need no heap: a typical solve takes
+  // a cap step only once or twice, so `cap_bound`, the smallest (cap, idx)
+  // in the list, is a lower bound over the unfrozen capped flows, exact
+  // while its own flow is unfrozen, and the list is rescanned only when
+  // the bound could win and its flow has frozen.
   int unfrozen = n;
   while (unfrozen > 0) {
     int best_res = -1;
@@ -750,20 +769,20 @@ void Network::SolveComponent(int c, SolveScratch& s) {
       std::pop_heap(s.share_heap.begin(), s.share_heap.end(), HeapLater{});
       s.share_heap.pop_back();
     }
-    while (!s.cap_heap.empty() &&
-           s.frozen[static_cast<std::size_t>(s.cap_heap.front().second)]) {
-      std::pop_heap(s.cap_heap.begin(), s.cap_heap.end(), HeapLater{});
-      s.cap_heap.pop_back();
+    const auto cap_wins = [&] {
+      return !s.caps.empty() &&
+             (best_res < 0 || s.cap_bound.first < best_share);
+    };
+    if (cap_wins() &&
+        s.frozen[static_cast<std::size_t>(s.cap_bound.second)]) {
+      RescanCaps(s);  // the bound could win: make it exact
     }
-    if (best_res < 0 && s.cap_heap.empty()) break;  // every flow frozen-able
+    if (best_res < 0 && s.caps.empty()) break;  // every flow frozen-able
 
-    if (!s.cap_heap.empty() &&
-        (best_res < 0 || s.cap_heap.front().first < best_share)) {
+    if (cap_wins()) {
       // A TCP ceiling is the strict bottleneck: freeze just that flow.
-      const auto [cap, idx] = s.cap_heap.front();
-      std::pop_heap(s.cap_heap.begin(), s.cap_heap.end(), HeapLater{});
-      s.cap_heap.pop_back();
-      FreezeOne(s, idx, cap);
+      // Its entry stays in the list until the next rescan drops it.
+      FreezeOne(s, s.cap_bound.second, s.cap_bound.first);
       --unfrozen;
       PushChangedShares(s);
       continue;

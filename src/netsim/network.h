@@ -312,8 +312,13 @@ class Network {
     std::vector<std::int32_t> slots;     // solve index -> slab slot
     std::vector<Rate> old_rate;
     std::vector<Rate> new_rate;
-    std::vector<std::pair<double, int>> cap_heap;    // (tcp cap, solve idx)
-    std::vector<std::pair<double, int>> share_heap;  // (share, resource)
+    // (tcp cap, solve idx) of the capped flows, unordered; frozen flows
+    // are dropped lazily, by RescanCaps.
+    std::vector<std::pair<double, int>> caps;
+    // Smallest entry of `caps`: a lower bound over its unfrozen flows.
+    std::pair<double, int> cap_bound;
+    // The only heap of the solve: (share, resource), lazily invalidated.
+    std::vector<std::pair<double, int>> share_heap;
     std::vector<char> frozen;
     std::vector<std::int32_t> res;       // 3 per flow, -1 padded
     // CSR per-resource member lists (solve indices, contention order).
@@ -382,6 +387,9 @@ class Network {
   void SolveAndApply(SimTime now);
   void FreezeOne(SolveScratch& s, int idx, Rate rate);
   void PushChangedShares(SolveScratch& s);
+  // Drops the frozen flows from `caps` and resets `cap_bound` to the exact
+  // minimum of the rest.
+  void RescanCaps(SolveScratch& s);
 
   // Marks a resource as perturbed since the last solve.
   void MarkResDirty(int r);

@@ -161,8 +161,7 @@ int TaskScheduler::busy_slots_in(DcIndex dc) const {
 }
 
 NodeIndex TaskScheduler::BestFreeNodeIn(
-    const std::vector<NodeIndex>& candidates) const {
-  NodeIndex best = kNoNode;
+    const std::vector<NodeIndex>& candidates, NodeIndex best) const {
   for (NodeIndex n : candidates) {
     if (free_[n] <= 0) continue;
     if (best == kNoNode || free_[n] > free_[best]) best = n;
@@ -200,13 +199,9 @@ bool TaskScheduler::TryAssign(Pending& pending) {
     locality = LocalityLevel::kNodeLocal;
     if (node == kNoNode && request.policy != PlacementPolicy::kNodeOnly) {
       // Level 2: any worker in a datacenter hosting a preferred node.
-      std::vector<NodeIndex> dc_candidates;
       for (NodeIndex pref : request.preferred) {
-        for (NodeIndex n : topo_.nodes_in(topo_.dc_of(pref))) {
-          dc_candidates.push_back(n);
-        }
+        node = BestFreeNodeIn(topo_.nodes_in(topo_.dc_of(pref)), node);
       }
-      node = BestFreeNodeIn(dc_candidates);
       locality = LocalityLevel::kDcLocal;
     }
     // Level 3: anywhere, but only after the locality wait expired (delay
@@ -262,9 +257,18 @@ void TaskScheduler::Pump() {
   // time, so a task that failed to place earlier in the pass still fails
   // after a later grant, and restarting from the head yields the same
   // order as one continuing sweep.
+  //
+  // TryAssign only ever grants a node with a free slot and has no side
+  // effect when it fails, so a round with no free slot anywhere cannot
+  // assign anything and is skipped. The queued tasks' wait_expiry wake-ups
+  // stay scheduled and pump again at their spill times.
   bool assigned = true;
   while (assigned) {
     assigned = false;
+    if (std::none_of(free_.begin(), free_.end(),
+                     [](int free) { return free > 0; })) {
+      break;
+    }
     std::vector<int> tenants;
     for (const Pending& p : queue_) {
       if (std::find(tenants.begin(), tenants.end(), p.request.tenant) ==

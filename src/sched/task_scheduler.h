@@ -127,7 +127,10 @@ class TaskScheduler {
   // avoid division), ties to the lower id.
   bool SmallerShare(int a, int b) const;
 
-  NodeIndex BestFreeNodeIn(const std::vector<NodeIndex>& candidates) const;
+  // The candidate with the most free slots (first on ties), or `best` if
+  // none has more free slots than it; kNoNode when nothing is free.
+  NodeIndex BestFreeNodeIn(const std::vector<NodeIndex>& candidates,
+                           NodeIndex best = kNoNode) const;
   NodeIndex LeastLoadedFreeWorker() const;
   // True iff no datacenter hosting a preferred node has a live worker.
   bool NoLiveWorkerNear(const std::vector<NodeIndex>& preferred) const;

@@ -241,6 +241,41 @@ TEST(EvaluatorTest, ComputeTaskCountsRecordsAcrossChunks) {
             (std::vector<std::string>{"(a -> 3)", "(b -> 2)"}));
 }
 
+// A spec that does not keep its records (a Save result) frees them inside
+// the compute job: every count and size is the same as when it keeps them.
+TEST(EvaluatorTest, ComputeTaskWithoutRecordsKeepsCountsAndSizes) {
+  RddPtr src = Source(0);
+  auto m = std::make_shared<MapPartitionsRdd>(1, "m", src, AddOne());
+  auto run = [&](StageOutputKind output, bool keep_records) {
+    TaskComputeSpec spec;
+    spec.output_rdd = m.get();
+    spec.partition = 0;
+    spec.start.rdd = src.get();
+    spec.start.partition = 0;
+    spec.start.chunks = {
+        MakeRecords({{"a", std::int64_t{1}}, {"bb", std::int64_t{2}}}),
+        MakeRecords({{"ccc", std::int64_t{3}}})};
+    spec.output = output;
+    spec.keep_records = keep_records;
+    return ComputeTask(std::move(spec));
+  };
+  for (const StageOutputKind output :
+       {StageOutputKind::kResult, StageOutputKind::kTransferProduce}) {
+    const TaskComputeResult kept = run(output, true);
+    const TaskComputeResult dropped = run(output, false);
+    EXPECT_EQ(KeysAndValues(kept.records),
+              (std::vector<std::string>{"(a -> 2)", "(bb -> 3)",
+                                        "(ccc -> 4)"}));
+    EXPECT_TRUE(dropped.records.empty());
+    EXPECT_EQ(dropped.in_records, kept.in_records);
+    EXPECT_EQ(dropped.out_records, kept.out_records);
+    EXPECT_EQ(dropped.out_records, 3u);
+    EXPECT_EQ(dropped.out_bytes, kept.out_bytes);
+    EXPECT_GT(dropped.out_bytes, 0);
+    EXPECT_EQ(dropped.compressed_bytes, kept.compressed_bytes);
+  }
+}
+
 TEST(FindEvalCutTest, FindsLeafWithoutCaches) {
   BlockManager blocks(4);
   RddPtr src = Source(0);

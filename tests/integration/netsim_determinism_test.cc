@@ -8,8 +8,7 @@
 // in paper figures.
 //
 // Intentional behavior changes regenerate the goldens:
-//   GS_UPDATE_GOLDENS=1 ./geoshuffle_tests \
-//       --gtest_filter='*NetsimGolden*'
+//   GS_UPDATE_GOLDENS=1 ./geoshuffle_tests --gtest_filter='*NetsimGolden*'
 #include <gtest/gtest.h>
 
 #include <cstdlib>

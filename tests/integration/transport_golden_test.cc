@@ -7,8 +7,7 @@
 // PUT/GET chain, the gated transport/cost-breakdown report keys.
 //
 // Intentional behavior changes regenerate the goldens:
-//   GS_UPDATE_GOLDENS=1 ./geoshuffle_tests \
-//       --gtest_filter='*TransportGolden*'
+//   GS_UPDATE_GOLDENS=1 ./geoshuffle_tests --gtest_filter='*TransportGolden*'
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/metrics_registry.h"
+#include "common/rng.h"
 #include "netsim/network.h"
 #include "simcore/simulator.h"
 
@@ -230,6 +234,142 @@ TEST(HotpathRegressionTest, SameInstantCompletionsFollowComponentOrder) {
   EXPECT_EQ(done_at[0], done_at[2]);
   EXPECT_EQ(done_at[3], done_at[4]);
   EXPECT_EQ(done_at[3], done_at[5]);
+}
+
+// --- Max-min solve on cap-heavy components -------------------------------
+//
+// Every WAN flow carries a single-connection TCP cap. Each step of the
+// progressive-filling solve freezes either one flow at its cap (a cap
+// step) or every unfrozen flow of the link with the smallest fair share (a
+// share step). These cases pin the solve bit for bit on seeded random flow
+// sets at both extremes:
+// - a light set, one flow per WAN link, where most freezes are cap steps
+//   (about 90% on the six-region mesh and 80% on the twelve-DC one; a
+//   jittered link can still drop below its lone flow's cap);
+// - a heavy set, many flows per link, where share steps freeze most flows.
+// The digest folds every flow's id and finish-time bits in completion
+// order, so any change to a rate, or to the order of equal-time
+// completions, moves it.
+
+// Synthetic 12-datacenter deployment, 4 workers per DC, full WAN mesh.
+Topology TwelveDcTopology() {
+  Topology topo;
+  for (int d = 0; d < 12; ++d) {
+    topo.AddDatacenter("dc" + std::to_string(d));
+    for (int n = 0; n < 4; ++n) {
+      topo.AddNode({"dc" + std::to_string(d) + "-w" + std::to_string(n), d,
+                    2, Gbps(1)});
+    }
+  }
+  topo.AddUniformWanMesh(Mbps(200), Mbps(80), Mbps(300), Millis(150));
+  return topo;
+}
+
+struct FlowSetDigest {
+  std::uint64_t hash = kFnvOffsetBasis;
+  int flows = 0;
+
+  void Add(const FlowRecord& f) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &f.finished, sizeof bits);
+    for (const std::uint64_t word : {static_cast<std::uint64_t>(f.id), bits}) {
+      for (int b = 0; b < 8; ++b) {
+        hash ^= (word >> (8 * b)) & 0xff;
+        hash *= kFnvPrime;
+      }
+    }
+    ++flows;
+  }
+};
+
+struct FlowSetShape {
+  int min_per_link = 1;
+  int max_per_link = 2;
+  Bytes min_bytes = MiB(1);
+  Bytes max_bytes = MiB(9);
+  SimTime window = 20;  // flows start uniformly in [0, window) of a round
+  int rounds = 1;       // each round starts once the previous one drained
+};
+
+// Starts, in each round, between `min_per_link` and `max_per_link` flows
+// on every directed datacenter pair, each between random nodes of the two
+// datacenters at a random time in the round's window, and runs them all to
+// completion under the default (jittered, stalling) network config.
+FlowSetDigest RunFlowSet(const Topology& topo, const FlowSetShape& shape,
+                         std::uint64_t seed) {
+  Simulator sim;
+  Network net(sim, topo, NetworkConfig{}, Rng(seed));
+  FlowSetDigest digest;
+  net.SetFlowObserver([&digest](const FlowRecord& f) { digest.Add(f); });
+  Rng rng(seed + 1);
+  auto pick = [&rng](const std::vector<NodeIndex>& nodes) {
+    return nodes[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(nodes.size()) - 1))];
+  };
+  int started = 0;
+  for (int round = 0; round < shape.rounds; ++round) {
+    const SimTime base = sim.Now();
+    for (DcIndex s = 0; s < topo.num_datacenters(); ++s) {
+      for (DcIndex d = 0; d < topo.num_datacenters(); ++d) {
+        if (s == d) continue;
+        const std::int64_t k =
+            rng.UniformInt(shape.min_per_link, shape.max_per_link);
+        for (std::int64_t i = 0; i < k; ++i) {
+          const NodeIndex src = pick(topo.nodes_in(s));
+          const NodeIndex dst = pick(topo.nodes_in(d));
+          const Bytes bytes = rng.UniformInt(shape.min_bytes, shape.max_bytes);
+          sim.ScheduleAt(base + rng.Uniform(0, shape.window),
+                         [&net, src, dst, bytes] {
+                           net.StartFlow(src, dst, bytes, FlowKind::kOther,
+                                         [] {});
+                         });
+          ++started;
+        }
+      }
+    }
+    sim.Run();
+  }
+  EXPECT_EQ(digest.flows, started);
+  EXPECT_EQ(net.active_flows(), 0);
+  return digest;
+}
+
+// One flow per WAN link per round, large enough for the round's flows to
+// overlap: the WAN share rarely binds, so most freezes are cap steps.
+FlowSetShape CapBound() {
+  return FlowSetShape{1, 1, MiB(8), MiB(64), 0.25, 6};
+}
+
+// Many flows per link over 20 s (hundreds on the six-region mesh, tens on
+// the twelve-DC one): share steps dominate.
+FlowSetShape ShareBound(int min_per_link, int max_per_link) {
+  return FlowSetShape{min_per_link, max_per_link, MiB(1), MiB(9), 20, 1};
+}
+
+TEST(HotpathRegressionTest, CapBoundSolveSixRegions) {
+  const FlowSetDigest d = RunFlowSet(Ec2SixRegionTopology(), CapBound(), 11);
+  EXPECT_EQ(d.flows, 180);
+  EXPECT_EQ(d.hash, 6548801368238439584u);
+}
+
+TEST(HotpathRegressionTest, CapBoundSolveTwelveDc) {
+  const FlowSetDigest d = RunFlowSet(TwelveDcTopology(), CapBound(), 12);
+  EXPECT_EQ(d.flows, 792);
+  EXPECT_EQ(d.hash, 2212987159711594169u);
+}
+
+TEST(HotpathRegressionTest, ShareBoundSolveSixRegions) {
+  const FlowSetDigest d =
+      RunFlowSet(Ec2SixRegionTopology(), ShareBound(100, 200), 13);
+  EXPECT_EQ(d.flows, 4408);
+  EXPECT_EQ(d.hash, 11403090166684353420u);
+}
+
+TEST(HotpathRegressionTest, ShareBoundSolveTwelveDc) {
+  const FlowSetDigest d =
+      RunFlowSet(TwelveDcTopology(), ShareBound(25, 35), 14);
+  EXPECT_EQ(d.flows, 3949);
+  EXPECT_EQ(d.hash, 11929761399956943207u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/check.h"
 #include "simcore/simulator.h"
 
@@ -424,6 +426,153 @@ TEST(TaskSchedulerTest, OfferFallsThroughWhenFavoredTenantCannotPlace) {
   sim.Run();
   EXPECT_TRUE(pinned.assigned);
   EXPECT_EQ(pinned.node, 0);
+}
+
+// --- grant order under saturation ---
+
+// "id@node:L ", L being N (node-local), D (DC-local), A (any) or P (no
+// preference).
+std::string GrantLabel(int id, NodeIndex node, LocalityLevel locality) {
+  static constexpr char kLevel[] = {'N', 'D', 'A', 'P'};
+  return std::to_string(id) + "@" + std::to_string(node) + ":" +
+         kLevel[static_cast<int>(locality)] + " ";
+}
+
+// Three datacenters (two, two and one 2-core workers), three tenants at
+// weights 1:2:3, and a mix of placement preferences: none, a node of the
+// crowded dc0 (node-local, DC-local or a spill after the wait), a dc1 node
+// under kDcOnly, and the lone dc2 node under kNodeOnly. Every slot is
+// taken at once; each task then holds its slot for its own duration, so
+// slots free one at a time. The whole (task id, node, locality) grant
+// sequence is pinned.
+TEST(TaskSchedulerTest, GrantOrderUnderSaturationIsPinned) {
+  Simulator sim;
+  Topology topo;
+  topo.AddDatacenter("dc0");
+  topo.AddDatacenter("dc1");
+  topo.AddDatacenter("dc2");
+  topo.AddNode({"a0", 0, 2, Gbps(1)});
+  topo.AddNode({"a1", 0, 2, Gbps(1)});
+  topo.AddNode({"b0", 1, 2, Gbps(1)});
+  topo.AddNode({"b1", 1, 2, Gbps(1)});
+  topo.AddNode({"c0", 2, 2, Gbps(1)});
+  TaskSchedulerConfig cfg;
+  cfg.locality_wait = 3.0;
+  TaskScheduler sched(sim, topo, cfg);
+  sched.SetTenantWeight(1, 2.0);
+  sched.SetTenantWeight(2, 3.0);
+
+  std::string grants;
+  int granted = 0;
+  for (int i = 0; i < 36; ++i) {
+    TaskRequest r;
+    r.id = i;
+    r.tenant = i % 3;
+    switch (i % 6) {
+      case 0: break;
+      case 1: r.preferred = {0}; break;
+      case 2: r.preferred = {0, 1}; break;
+      case 3:
+        r.preferred = {2};
+        r.policy = PlacementPolicy::kDcOnly;
+        break;
+      case 4:
+        r.preferred = {4};
+        r.policy = PlacementPolicy::kNodeOnly;
+        break;
+      case 5: r.preferred = {1}; break;
+    }
+    const SimTime hold = 0.5 + (i * 7 % 11) * 0.37;
+    r.on_assigned = [&, i, tenant = r.tenant, hold](NodeIndex node,
+                                                    LocalityLevel locality) {
+      grants += GrantLabel(i, node, locality);
+      ++granted;
+      sim.Schedule(hold, [&sched, node, tenant] {
+        sched.ReleaseSlot(node, tenant);
+      });
+    };
+    sched.Submit(std::move(r));
+  }
+  sim.Run();
+
+  EXPECT_EQ(granted, 36);
+  EXPECT_EQ(sched.queued_tasks(), 0);
+  EXPECT_EQ(grants,
+            "0@0:P 1@0:N 2@1:N 3@2:N 4@4:N 5@1:N 6@3:P 9@2:N 10@4:N "
+            "12@3:P 8@0:N 11@1:N 14@0:N 17@1:N 20@1:N 16@4:N 22@4:N 7@0:N "
+            "23@3:A 13@4:A 19@4:A 26@2:A 15@3:D 25@4:A 18@2:P 28@4:N 29@1:N "
+            "32@1:N 31@0:N 35@0:D 21@3:D 24@2:P 27@3:D 30@2:P 33@2:N 34@4:N ");
+  for (const char* level : {":N", ":D", ":A", ":P"}) {
+    EXPECT_NE(grants.find(level), std::string::npos) << level;
+  }
+
+  // Ties on free slots go to the first candidate in preference order: at
+  // the preferred nodes (task 36, both nodes empty) and across the
+  // datacenters of the preferred nodes (task 42, one free slot each on
+  // nodes 1 and 3).
+  grants.clear();
+  const std::vector<std::vector<NodeIndex>> tail_prefs = {
+      {1, 0}, {0}, {0}, {3}, {2}, {2}, {0, 2}, {}};
+  for (std::size_t k = 0; k < tail_prefs.size(); ++k) {
+    const int id = 36 + static_cast<int>(k);
+    TaskRequest r;
+    r.id = id;
+    r.preferred = tail_prefs[k];
+    r.on_assigned = [&grants, id](NodeIndex node, LocalityLevel locality) {
+      grants += GrantLabel(id, node, locality);
+    };
+    sched.Submit(std::move(r));
+  }
+  sim.Run();
+  EXPECT_EQ(grants,
+            "36@1:N 37@0:N 38@0:N 39@3:N 40@2:N 41@2:N 42@1:D 43@4:P ");
+}
+
+// With every slot taken, a Pump (here from Submit and from the locality
+// wait's wake-up) assigns nothing. The wake-up must still have been
+// scheduled: a task whose preferred datacenter stays full spills at its
+// exact spill time once a slot elsewhere is free, and a task whose wait
+// ran out while nothing was free spills as soon as a slot frees.
+TEST(TaskSchedulerTest, PumpWithNoFreeSlotAssignsNothingButKeepsWakeups) {
+  Simulator sim;
+  Topology topo = TestTopo();
+  TaskSchedulerConfig cfg;
+  cfg.locality_wait = 3.0;
+  TaskScheduler sched(sim, topo, cfg);
+  Assignment fillers[8];
+  for (auto& f : fillers) sched.Submit(Req(&f, &sim));
+  sim.Run();
+  for (const auto& f : fillers) ASSERT_TRUE(f.assigned);
+
+  // Task x waits out its locality wait with zero free slots.
+  Assignment x;
+  sched.Submit(Req(&x, &sim, {0}));
+  sched.SetTenantWeight(0, 2.0);  // another Pump, still nothing free
+  sim.RunUntil(5.0);
+  EXPECT_FALSE(x.assigned);
+  EXPECT_EQ(sched.queued_tasks(), 1);
+  sched.ReleaseSlot(2);  // dc1: not near x's preference
+  sim.Run();
+  EXPECT_TRUE(x.assigned);
+  EXPECT_EQ(x.node, 2);
+  EXPECT_EQ(x.locality, LocalityLevel::kAny);
+  EXPECT_EQ(x.at, 5.0);
+
+  // Task y is submitted with zero free slots; a dc1 slot frees before its
+  // wait is over, so only the wake-up at its spill time can place it.
+  Assignment y;
+  sched.Submit(Req(&y, &sim, {1}));
+  const SimTime spill_at = sim.Now() + cfg.locality_wait;
+  sim.Schedule(1.0, [&] { sched.ReleaseSlot(3); });
+  sim.RunUntil(sim.Now() + 2.0);
+  EXPECT_FALSE(y.assigned);
+  EXPECT_EQ(sched.free_slots(3), 1);
+  sim.Run();
+  EXPECT_TRUE(y.assigned);
+  EXPECT_EQ(y.node, 3);
+  EXPECT_EQ(y.locality, LocalityLevel::kAny);
+  EXPECT_EQ(y.at, spill_at);
+  EXPECT_EQ(sched.queued_tasks(), 0);
 }
 
 }  // namespace

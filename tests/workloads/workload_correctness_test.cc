@@ -134,6 +134,33 @@ INSTANTIATE_TEST_SUITE_P(
                       PinnedDigest{"NaiveBayes", 17945781971356680881ull}),
     [](const auto& info) { return std::string(info.param.workload); });
 
+// Under Save the driver gets one ack per result partition (its index and
+// record count), and the compute job frees the records themselves. The
+// acks and the whole RunReport are pinned under every scheme.
+TEST(WorkloadCorrectnessTest, SortSaveReturnsPinnedAcksAndReport) {
+  WorkloadParams params = TestParams();
+  params.collect_results = false;
+  const std::uint64_t expected_report[] = {9992252154106754964ull,
+                                           3352593357423213984ull,
+                                           12854125306676921507ull};
+  int i = 0;
+  for (Scheme scheme :
+       {Scheme::kSpark, Scheme::kCentralized, Scheme::kAggShuffle}) {
+    GeoCluster cluster(Ec2SixRegionTopology(kTestScale), TestConfig(scheme));
+    const RunResult r = MakeWorkload("Sort", params)->Run(cluster, 42);
+    EXPECT_EQ(r.records.size(), 4u) << SchemeName(scheme);
+    EXPECT_EQ(RecordsDigest(SortedRecords(r.records)), 17590669975857199227ull)
+        << SchemeName(scheme);
+    std::int64_t saved = 0;
+    for (const Record& ack : r.records) {
+      saved += std::get<std::int64_t>(ack.value);
+    }
+    EXPECT_EQ(saved, 1446) << SchemeName(scheme);
+    EXPECT_EQ(Fnv1a64(r.report.ToJson()), expected_report[i++])
+        << SchemeName(scheme);
+  }
+}
+
 TEST(WorkloadCorrectnessTest, WordCountTotalsMatchInputWordCount) {
   RunResult r = RunWorkload("WordCount", Scheme::kAggShuffle);
   std::int64_t total = 0;
