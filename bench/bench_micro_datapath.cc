@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <functional>
 #include <future>
 #include <iostream>
 #include <memory>
@@ -267,8 +266,7 @@ int main() {
   });
 
   // --- submit throughput ------------------------------------------------
-  // Pure pool overhead on trivial jobs: per-job Submit and one-wave
-  // SubmitBatch.
+  // Pure pool overhead on trivial jobs.
   {
     constexpr int kJobs = 100'000;
     ThreadPool pool(1);
@@ -276,46 +274,32 @@ int main() {
     measure("submit", kJobs,
             [&](int) { pool.Submit([&sink] { sink.fetch_add(1); }); });
     pool.WaitIdle();
-    {
-      const double start = WallSeconds();
-      std::vector<std::function<void()>> wave;
-      wave.reserve(kJobs);
-      for (int i = 0; i < kJobs; ++i) {
-        wave.emplace_back([&sink] { sink.fetch_add(1); });
-      }
-      pool.SubmitBatch(std::move(wave));
-      ms.push_back(WallMeasurement{"submit-batch", 1, kJobs,
-                                   WallSeconds() - start});
-    }
-    pool.WaitIdle();
-    if (sink.load() != 2 * kJobs) std::abort();
+    if (sink.load() != kJobs) std::abort();
   }
 
   // --- map-phase pipeline at 1/2/4/8 threads ----------------------------
   // The engine's pattern: a gather barrier releases every map task's
-  // compute as one SubmitBatch wave, results joined as they are needed.
-  // Identical outputs at every width. Min of 3 runs per width (the rows
-  // feed the CI perf-smoke gate, so per-run noise matters). Widths are
-  // clamped to the host (Width::kClampToHardware): on a 1-core host every
-  // row collapses to one worker instead of oversubscribing — asking for 8
-  // threads must never be slower than asking for 1.
+  // compute at once, results joined as they are needed. Identical outputs
+  // at every width. Min of 3 runs per width (the rows feed the CI
+  // perf-smoke gate, so per-run noise matters). Widths are clamped to the
+  // host: on a 1-core host every row collapses to one worker instead of
+  // oversubscribing — asking for 8 threads must never be slower than
+  // asking for 1.
   Bytes reference_total = 0;
   for (int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
+    ThreadPool pool(std::min(threads, ThreadPool::HardwareConcurrency()));
     double best = 0;
     for (int rep = -1; rep < 3; ++rep) {  // rep -1 is an untimed warmup
       const double start = WallSeconds();
-      std::vector<std::function<TaskComputeResult()>> wave;
-      wave.reserve(kMaps);
+      std::vector<std::future<TaskComputeResult>> futures;
+      futures.reserve(kMaps);
       for (int m = 0; m < kMaps; ++m) {
-        wave.emplace_back([&, m] {
+        futures.push_back(pool.Submit([&, m] {
           return RunMapCompute(source, m,
                                inputs[static_cast<std::size_t>(m)], info,
                                nullptr);
-        });
+        }));
       }
-      std::vector<std::future<TaskComputeResult>> futures =
-          pool.SubmitBatch(std::move(wave));
       Bytes total = 0;
       for (auto& f : futures) total += f.get().shard_total_bytes;
       const double elapsed = WallSeconds() - start;

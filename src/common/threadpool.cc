@@ -4,26 +4,16 @@
 
 namespace gs {
 
-ThreadPool::ThreadPool(int threads, Width width) {
-  int n = std::max(1, threads);
-  if (width == Width::kClampToHardware) {
-    n = std::min(n, HardwareConcurrency());
-  }
-  shards_.reserve(n);
-  for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
+ThreadPool::ThreadPool(int threads) {
+  const int n = std::max(1, threads);
   workers_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
+  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { WorkerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  stopping_.store(true, std::memory_order_seq_cst);
   {
-    // Empty critical section: a worker that found no work and is between
-    // its predicate check and blocking on work_cv_ holds sleep_mu_, so
-    // taking it here guarantees the notify below lands after it blocks.
-    std::lock_guard<std::mutex> g(sleep_mu_);
+    std::lock_guard<std::mutex> g(mu_);
+    stopping_ = true;
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
@@ -34,84 +24,25 @@ int ThreadPool::HardwareConcurrency() {
   return hc == 0 ? 1 : static_cast<int>(hc);
 }
 
-void ThreadPool::PushJobs(MoveFunction* jobs, std::size_t n) {
-  if (n == 0) return;
-  const std::size_t num_shards = shards_.size();
-  // Contiguous chunks: one lock acquisition per shard touched, and jobs
-  // keep submission order within each shard. The round-robin cursor
-  // rotates the starting shard so consecutive waves spread evenly.
-  const std::size_t start =
-      static_cast<std::size_t>(rr_.fetch_add(1, std::memory_order_relaxed)) %
-      num_shards;
-  const std::size_t chunk = (n + num_shards - 1) / num_shards;
-  std::size_t done = 0;
-  for (std::size_t s = 0; done < n; ++s) {
-    Shard& shard = *shards_[(start + s) % num_shards];
-    const std::size_t take = std::min(chunk, n - done);
-    {
-      std::lock_guard<std::mutex> g(shard.mu);
-      for (std::size_t i = 0; i < take; ++i) {
-        shard.jobs.push_back(std::move(jobs[done + i]));
-      }
-    }
-    done += take;
-  }
-  inflight_.fetch_add(static_cast<std::int64_t>(n), std::memory_order_seq_cst);
-  queued_.fetch_add(static_cast<std::int64_t>(n), std::memory_order_seq_cst);
-  {
-    std::lock_guard<std::mutex> g(sleep_mu_);  // pairs with the worker wait
-  }
-  if (n == 1) {
-    work_cv_.notify_one();
-  } else {
-    work_cv_.notify_all();
-  }
-}
-
-bool ThreadPool::TryPop(int self, MoveFunction& out) {
-  const int num_shards = static_cast<int>(shards_.size());
-  for (int i = 0; i < num_shards; ++i) {
-    Shard& shard = *shards_[(self + i) % num_shards];
-    std::lock_guard<std::mutex> g(shard.mu);
-    if (!shard.jobs.empty()) {
-      out = std::move(shard.jobs.front());
-      shard.jobs.pop_front();
-      queued_.fetch_sub(1, std::memory_order_seq_cst);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(int self) {
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    MoveFunction job;
-    if (TryPop(self, job)) {
-      job();
-      job = MoveFunction();  // drop captures before signalling idle
-      if (inflight_.fetch_sub(1, std::memory_order_seq_cst) - 1 == 0) {
-        std::lock_guard<std::mutex> g(sleep_mu_);
-        idle_cv_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lk(sleep_mu_);
-    work_cv_.wait(lk, [this] {
-      return queued_.load(std::memory_order_seq_cst) > 0 ||
-             stopping_.load(std::memory_order_seq_cst);
-    });
-    if (queued_.load(std::memory_order_seq_cst) == 0 &&
-        stopping_.load(std::memory_order_seq_cst)) {
-      return;  // drained: stop only once no queued work remains
-    }
+    work_cv_.wait(lk, [this] { return !jobs_.empty() || stopping_; });
+    if (jobs_.empty()) return;  // stopping, and the queue is drained
+    std::function<void()> job = std::move(jobs_.front());
+    jobs_.pop_front();
+    ++running_;
+    lk.unlock();
+    job();
+    job = nullptr;  // drop captures before signalling idle
+    lk.lock();
+    if (--running_ == 0 && jobs_.empty()) idle_cv_.notify_all();
   }
 }
 
 void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lk(sleep_mu_);
-  idle_cv_.wait(lk, [this] {
-    return inflight_.load(std::memory_order_seq_cst) == 0;
-  });
+  std::unique_lock<std::mutex> lk(mu_);
+  idle_cv_.wait(lk, [this] { return jobs_.empty() && running_ == 0; });
 }
 
 }  // namespace gs

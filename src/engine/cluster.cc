@@ -148,13 +148,11 @@ GeoCluster::GeoCluster(Topology topo, RunConfig config)
                                       config_.cost.disk_write_rate,
                                       registry_.get());
   // An explicit --threads choice is honored exactly (tests rely on forcing
-  // real interleaving); the default is clamped to the host width, where
+  // real interleaving); the default is the host width, where
   // oversubscribing pure compute only costs context switches.
-  compute_pool_ = config_.compute_threads > 0
-                      ? std::make_unique<ThreadPool>(config_.compute_threads,
-                                                     ThreadPool::Width::kExact)
-                      : std::make_unique<ThreadPool>(
-                            ThreadPool::HardwareConcurrency());
+  compute_pool_ = std::make_unique<ThreadPool>(
+      config_.compute_threads > 0 ? config_.compute_threads
+                                  : ThreadPool::HardwareConcurrency());
   // The driver is the first non-worker node; if all nodes are workers,
   // node 0 doubles as the driver.
   driver_node_ = 0;

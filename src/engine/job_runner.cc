@@ -66,10 +66,7 @@ JobRunner::JobRunner(GeoCluster& cluster, RddPtr final_rdd, ActionKind action,
 JobRunner::~JobRunner() {
   // Compute jobs of discarded attempts and dropped receiver inboxes are
   // never joined (their stale continuations no-op); let them finish
-  // before the stage structures they reference go away. An unsent wave
-  // must reach the pool first, or its packaged tasks die with this runner
-  // and nothing runs them.
-  FlushComputeBatch();
+  // before the stage structures they reference go away.
   cluster_.compute_pool().WaitIdle();
 }
 
@@ -570,28 +567,10 @@ void JobRunner::SubmitCompute(TaskRun& task) {
   spec.start.chunks = std::move(task.gathered);
   spec.start.already_processed = task.gather_is_processed;
   task.gathered.clear();
-  std::packaged_task<TaskComputeResult()> job(
+  task.compute = cluster_.compute_pool().Submit(
       [spec = std::move(spec)]() mutable {
         return ComputeTask(std::move(spec));
       });
-  task.compute = job.get_future();
-  compute_batch_.push_back(std::move(job));
-  if (!compute_flush_scheduled_) {
-    compute_flush_scheduled_ = true;
-    sim_.Schedule(0, [this] { FlushComputeBatch(); });
-  }
-}
-
-void JobRunner::FlushComputeBatch() {
-  compute_flush_scheduled_ = false;
-  if (compute_batch_.empty()) return;
-  std::vector<MoveFunction> jobs;
-  jobs.reserve(compute_batch_.size());
-  for (std::packaged_task<TaskComputeResult()>& job : compute_batch_) {
-    jobs.emplace_back([job = std::move(job)]() mutable { job(); });
-  }
-  compute_batch_.clear();
-  cluster_.compute_pool().SubmitPrepared(std::move(jobs));
 }
 
 void JobRunner::GatherArrived(TaskRun& task) {
@@ -617,7 +596,6 @@ void JobRunner::OnGatherDone(TaskRun& task) {
   // produced. Exceptions thrown by workload lambdas resurface here, on
   // the event loop.
   GS_CHECK(task.compute.valid());
-  FlushComputeBatch();  // the wave may still be unsent in this instant
   TaskComputeResult out = task.compute.get();
   SimTime cpu = config_.cost.CpuTime(task.in_bytes, out.out_bytes) +
                 config_.cost.record_cpu *

@@ -177,21 +177,13 @@ class JobRunner {
   void OnAssigned(TaskRun& task, NodeIndex node);
   void StartGather(TaskRun& task);
   void GatherArrived(TaskRun& task);  // one gather op finished
-  // Packages the gathered records into a pure compute job; the future
-  // lands in task.compute. Jobs accumulate in compute_batch_ and reach the
-  // cluster's ThreadPool as one wave (single lock acquisition per worker
-  // shard) at FlushComputeBatch — a gather barrier releasing k tasks at
-  // the same instant enqueues them all at once.
+  // Packages the gathered records into a pure compute job and submits it
+  // to the cluster's ThreadPool; the future lands in task.compute.
   void SubmitCompute(TaskRun& task);
   // The stage-level part of a task's compute job; callers fill `start`.
   // `combine` gates the stage's pre-output combine.
   TaskComputeSpec ComputeSpec(const StageRun& sr, int partition,
                               bool combine) const;
-  // Hands the accumulated wave to the pool. Runs from a zero-delay event
-  // scheduled by the first SubmitCompute of the instant, and eagerly from
-  // OnGatherDone before joining a future (a same-instant gather can need
-  // its result before the flush event fires). Idempotent.
-  void FlushComputeBatch();
   void OnGatherDone(TaskRun& task);
   void OnComputeDone(TaskRun& task, TaskComputeResult out);
   void OnTaskFailed(TaskRun& task);
@@ -288,11 +280,6 @@ class JobRunner {
   // Reduce tasks parked by a fetch failure, keyed by the parent stage they
   // wait on; resubmitted when that stage re-completes.
   std::unordered_map<StageId, std::vector<TaskRun*>> waiting_on_stage_;
-
-  // Compute jobs awaiting the per-instant batched submission (see
-  // SubmitCompute / FlushComputeBatch).
-  std::vector<std::packaged_task<TaskComputeResult()>> compute_batch_;
-  bool compute_flush_scheduled_ = false;
 
   std::vector<std::vector<Record>> results_;  // per result partition
   JobMetrics metrics_;

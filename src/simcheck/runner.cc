@@ -474,8 +474,8 @@ CheckResult RunEngineCheck(const SimcheckConfig& cfg) {
                             Scheme::kAggShuffle};
   const int rerun_idx = static_cast<int>(cfg.seed % 3);  // rotated by seed
 
-  // The remaining runs depend only on the plan, so they go to the pool as
-  // one wave: per scheme threads=1 then threads_high, then the rerun. The
+  // The remaining runs depend only on the plan, so they all go to the
+  // pool now: per scheme threads=1 then threads_high, then the rerun. The
   // checks below consume them in that order, so violations come out as a
   // sequential loop would produce them. A threads_high or rerun result
   // whose threads=1 partner threw is never consumed or counted; the pool
@@ -486,13 +486,12 @@ CheckResult RunEngineCheck(const SimcheckConfig& cfg) {
       return RunOne(cfg, input_records, scheme, threads, plan);
     };
   };
-  std::vector<decltype(job(Scheme::kSpark, 1))> jobs;
+  std::vector<std::future<SchemeRun>> runs;
   for (Scheme scheme : schemes) {
-    jobs.push_back(job(scheme, 1));
-    jobs.push_back(job(scheme, cfg.threads_high));
+    runs.push_back(pool.Submit(job(scheme, 1)));
+    runs.push_back(pool.Submit(job(scheme, cfg.threads_high)));
   }
-  jobs.push_back(job(schemes[rerun_idx], 1));
-  std::vector<std::future<SchemeRun>> runs = pool.SubmitBatch(std::move(jobs));
+  runs.push_back(pool.Submit(job(schemes[rerun_idx], 1)));
 
   SchemeRun low[3];
   bool low_ok[3] = {false, false, false};

@@ -74,19 +74,19 @@ IndexRange PartitionRange(std::size_t total, int parts, int p) {
 std::vector<std::vector<Record>> GeneratePartitions(
     GeoCluster& cluster, Rng& rng, int parts, const PartitionGenerator& fn) {
   GS_CHECK(parts > 0);
-  std::vector<Rng> streams;
-  streams.reserve(parts);
+  std::vector<std::future<std::vector<Record>>> futures;
+  futures.reserve(parts);
   for (int p = 0; p < parts; ++p) {
-    streams.push_back(rng.Split(static_cast<std::uint64_t>(p)));
+    // Each job owns its stream. Streams packed in one array share a cache
+    // line at each boundary, which jobs of adjacent partitions running
+    // side by side would both write on every draw.
+    futures.push_back(cluster.compute_pool().Submit(
+        [&fn, p, stream = rng.Split(static_cast<std::uint64_t>(p))]() mutable {
+          return fn(p, stream);
+        }));
   }
-  std::vector<std::function<std::vector<Record>()>> jobs;
-  jobs.reserve(parts);
-  for (int p = 0; p < parts; ++p) {
-    jobs.emplace_back([&fn, &streams, p] { return fn(p, streams[p]); });
-  }
-  auto futures = cluster.compute_pool().SubmitBatch(std::move(jobs));
-  // Every job borrows `streams` and `fn`: let all of them finish before a
-  // failed one's exception unwinds this frame.
+  // Every job borrows `fn`: let all of them finish before a failed one's
+  // exception unwinds this frame.
   for (auto& f : futures) f.wait();
   std::vector<std::vector<Record>> partitions;
   partitions.reserve(parts);

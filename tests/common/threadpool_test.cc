@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -130,92 +129,45 @@ TEST(ThreadPoolTest, ManyThreadsProduceTheSameResultsAsOne) {
   EXPECT_EQ(run(1), run(8));
 }
 
-TEST(ThreadPoolTest, DefaultWidthClampsToHardware) {
-  // Oversubscribing pure compute never helps; the default policy spawns at
-  // most HardwareConcurrency() workers however many are requested.
-  ThreadPool pool(64);
-  EXPECT_LE(pool.num_threads(), ThreadPool::HardwareConcurrency());
-  EXPECT_GE(pool.num_threads(), 1);
-}
-
-TEST(ThreadPoolTest, ExactWidthSpawnsRequestedWorkers) {
-  ThreadPool pool(8, ThreadPool::Width::kExact);
+TEST(ThreadPoolTest, SpawnsRequestedWorkers) {
+  ThreadPool pool(8);
   EXPECT_EQ(pool.num_threads(), 8);
   EXPECT_EQ(pool.Submit([] { return 3; }).get(), 3);
 }
 
-TEST(MoveFunctionTest, RunsInlineAndHeapCallables) {
-  int hits = 0;
-  MoveFunction small([&hits] { ++hits; });  // fits the inline buffer
-  char big_payload[2 * MoveFunction::kInlineSize] = {1};
-  MoveFunction big([&hits, big_payload] { hits += big_payload[0]; });
-  EXPECT_TRUE(static_cast<bool>(small));
-  small();
-  big();
-  EXPECT_EQ(hits, 2);
-  // Move transfers the callable; the source becomes empty.
-  MoveFunction moved = std::move(small);
-  moved();
-  EXPECT_EQ(hits, 3);
-  EXPECT_FALSE(static_cast<bool>(small));  // NOLINT(bugprone-use-after-move)
-}
-
-TEST(MoveFunctionTest, AcceptsMoveOnlyCallables) {
+TEST(ThreadPoolTest, AcceptsMoveOnlyCallables) {
+  // The engine's compute jobs capture a move-only TaskComputeSpec.
+  ThreadPool pool(2);
   auto ptr = std::make_unique<int>(41);
-  int out = 0;
-  MoveFunction fn([p = std::move(ptr), &out] { out = *p + 1; });
-  fn();
-  EXPECT_EQ(out, 42);
+  EXPECT_EQ(pool.Submit([p = std::move(ptr)] { return *p + 1; }).get(), 42);
 }
 
-TEST(ThreadPoolTest, SubmitBatchDeliversEveryResult) {
-  ThreadPool pool(4, ThreadPool::Width::kExact);
-  std::vector<std::function<int()>> jobs;
-  for (int i = 0; i < 100; ++i) {
-    jobs.emplace_back([i] { return 3 * i; });
-  }
-  std::vector<std::future<int>> futures = pool.SubmitBatch(std::move(jobs));
-  ASSERT_EQ(futures.size(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), 3 * i);
-  }
-}
-
-TEST(ThreadPoolTest, SubmitBatchSingleWorkerPreservesOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 50; ++i) {
-    jobs.emplace_back([&order, i] { order.push_back(i); });
-  }
-  for (auto& f : pool.SubmitBatch(std::move(jobs))) f.get();
-  ASSERT_EQ(order.size(), 50u);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(ThreadPoolTest, SubmitPreparedRunsPackagedTasks) {
-  ThreadPool pool(2, ThreadPool::Width::kExact);
+TEST(ThreadPoolTest, WaitIdleReturnsAfterJobCapturesAreDestroyed) {
+  // ~JobRunner's WaitIdle relies on this: once it returns, no job still
+  // holds a capture that points into the runner's structures.
+  ThreadPool pool(4);
+  std::vector<std::weak_ptr<int>> watched;
   std::vector<std::future<int>> futures;
-  std::vector<MoveFunction> jobs;
-  for (int i = 0; i < 20; ++i) {
-    std::packaged_task<int()> task([i] { return i + 100; });
-    futures.push_back(task.get_future());
-    jobs.emplace_back([task = std::move(task)]() mutable { task(); });
+  for (int i = 0; i < 64; ++i) {
+    auto held = std::make_shared<int>(i);
+    watched.push_back(held);
+    futures.push_back(pool.Submit([held = std::move(held)] {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      return *held;
+    }));
   }
-  pool.SubmitPrepared(std::move(jobs));
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i + 100);
+  pool.WaitIdle();
+  for (const std::weak_ptr<int>& w : watched) EXPECT_TRUE(w.expired());
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i);
   }
 }
 
-TEST(ThreadPoolTest, WorkStealingStressRunsEveryJobExactlyOnce) {
-  // Many real workers, waves submitted from several threads at once, jobs
-  // of wildly uneven cost: whatever shard a job lands on, stealing must
-  // get it run exactly once. Run under scripts/tsan_ctest.sh this is the
-  // pool's main data-race workout.
-  ThreadPool pool(8, ThreadPool::Width::kExact);
+TEST(ThreadPoolTest, ConcurrentSubmittersRunEveryJobExactlyOnce) {
+  // Many real workers, jobs submitted from several threads at once, jobs
+  // of wildly uneven cost: every job must run exactly once. Run under
+  // scripts/tsan_ctest.sh this is the pool's main data-race workout.
+  ThreadPool pool(8);
   constexpr int kSubmitters = 4;
   constexpr int kPerSubmitter = 500;
   std::atomic<int> runs{0};
@@ -224,25 +176,14 @@ TEST(ThreadPoolTest, WorkStealingStressRunsEveryJobExactlyOnce) {
   for (int s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&pool, &futures, &runs, s] {
       for (int i = 0; i < kPerSubmitter; ++i) {
-        if (i % 2 == 0) {
-          futures[static_cast<std::size_t>(s)].push_back(
-              pool.Submit([&runs, i] {
-                if (i % 16 == 0) {
-                  std::this_thread::sleep_for(std::chrono::microseconds(50));
-                }
-                runs.fetch_add(1);
-                return i;
-              }));
-        } else {
-          std::vector<std::function<int()>> wave;
-          wave.emplace_back([&runs, i] {
-            runs.fetch_add(1);
-            return i;
-          });
-          for (auto& f : pool.SubmitBatch(std::move(wave))) {
-            futures[static_cast<std::size_t>(s)].push_back(std::move(f));
-          }
-        }
+        futures[static_cast<std::size_t>(s)].push_back(
+            pool.Submit([&runs, i] {
+              if (i % 16 == 0) {
+                std::this_thread::sleep_for(std::chrono::microseconds(50));
+              }
+              runs.fetch_add(1);
+              return i;
+            }));
       }
     });
   }
@@ -261,7 +202,7 @@ TEST(ThreadPoolTest, WaitIdleRacesWithConcurrentSubmission) {
   // finished — even while another thread keeps feeding the pool. The
   // tsan preset checks the idle signalling against the sleeping-worker
   // wakeup path.
-  ThreadPool pool(4, ThreadPool::Width::kExact);
+  ThreadPool pool(4);
   std::atomic<int> started{0};
   std::atomic<int> finished{0};
   std::thread feeder([&] {

@@ -11,9 +11,6 @@
 //   GS_UPDATE_GOLDENS=1 ./geoshuffle_tests --gtest_filter='*NetsimGolden*'
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +18,7 @@
 #include "data/record.h"
 #include "engine/cluster.h"
 #include "engine/dataset.h"
+#include "golden_report.h"
 
 namespace gs {
 namespace {
@@ -82,24 +80,7 @@ TEST_P(NetsimGoldenReportTest, RunReportMatchesGoldenByteForByte) {
   const std::string got = RunReportJson(GetParam());
   const std::string path = GoldenPath(GetParam());
 
-  if (std::getenv("GS_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << got;
-    ASSERT_TRUE(out.good());
-    GTEST_SKIP() << "golden regenerated: " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good())
-      << "missing golden " << path
-      << " — generate with GS_UPDATE_GOLDENS=1";
-  std::ostringstream want;
-  want << in.rdbuf();
-  // Byte-for-byte: whitespace, key order and float formatting included.
-  EXPECT_EQ(got, want.str())
-      << "RunReport drifted from " << path
-      << "; if intentional, regenerate with GS_UPDATE_GOLDENS=1";
+  ExpectMatchesGolden(got, path);
 }
 
 // Same workload run twice in-process must also agree — catches hidden

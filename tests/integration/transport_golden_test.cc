@@ -11,9 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -22,6 +19,7 @@
 #include "data/record.h"
 #include "engine/cluster.h"
 #include "engine/dataset.h"
+#include "golden_report.h"
 #include "engine/transport/transport.h"
 #include "netsim/pricing.h"
 
@@ -92,23 +90,7 @@ TEST_P(TransportGoldenReportTest, RunReportMatchesGoldenByteForByte) {
       RunReportJson(std::get<0>(GetParam()), std::get<1>(GetParam()));
   const std::string path = GoldenPath(GetParam());
 
-  if (std::getenv("GS_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << got;
-    ASSERT_TRUE(out.good());
-    GTEST_SKIP() << "golden regenerated: " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good())
-      << "missing golden " << path
-      << " — generate with GS_UPDATE_GOLDENS=1";
-  std::ostringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(got, want.str())
-      << "RunReport drifted from " << path
-      << "; if intentional, regenerate with GS_UPDATE_GOLDENS=1";
+  ExpectMatchesGolden(got, path);
 }
 
 TEST_P(TransportGoldenReportTest, BackToBackRunsAreByteIdentical) {

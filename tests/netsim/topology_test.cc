@@ -27,7 +27,9 @@ TEST(TopologyTest, Ec2SixRegionShape) {
 TEST(TopologyTest, Ec2CoresMatchM3Large) {
   Topology topo = Ec2SixRegionTopology();
   for (NodeIndex n = 0; n < topo.num_nodes(); ++n) {
-    if (topo.node(n).worker) EXPECT_EQ(topo.node(n).cores, 2);
+    if (topo.node(n).worker) {
+      EXPECT_EQ(topo.node(n).cores, 2);
+    }
   }
   EXPECT_EQ(topo.cores_in(0), 9);  // 4 workers x 2 + driver's 1 (non-worker)
   EXPECT_EQ(topo.total_cores(), 49);

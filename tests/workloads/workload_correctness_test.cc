@@ -140,9 +140,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(WorkloadCorrectnessTest, SortSaveReturnsPinnedAcksAndReport) {
   WorkloadParams params = TestParams();
   params.collect_results = false;
-  const std::uint64_t expected_report[] = {9992252154106754964ull,
-                                           3352593357423213984ull,
-                                           12854125306676921507ull};
+  const std::uint64_t expected_report[] = {12838890414967237124ull,
+                                           15325486425436206719ull,
+                                           8335179527921438283ull};
   int i = 0;
   for (Scheme scheme :
        {Scheme::kSpark, Scheme::kCentralized, Scheme::kAggShuffle}) {
