@@ -36,7 +36,6 @@ RunConfig MakeRunConfig(const HarnessConfig& h, Scheme scheme,
   cfg.scale = h.scale;
   cfg.cost = CostModel{}.Scaled(h.scale);
   cfg.net.jitter_interval = h.jitter_interval;
-  cfg.net.jitter_momentum = h.jitter_momentum;
   // A small per-attempt reduce-task failure rate, as observed on shared
   // EC2 tenancy — the recovery-path difference (WAN re-fetch vs local
   // re-read, Fig. 2) is part of what the paper measures.

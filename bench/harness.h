@@ -25,7 +25,6 @@ struct HarnessConfig {
   int runs = 10;
   double scale = 100.0;
   SimTime jitter_interval = Seconds(5);
-  double jitter_momentum = 0.5;
 
   static HarnessConfig FromEnv();
 };

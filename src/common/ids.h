@@ -18,9 +18,6 @@ using NodeIndex = int;
 // Identifier for a network flow.
 using FlowId = std::int64_t;
 
-// Identifier for a multicast flow group (netsim::StartMulticastFlow).
-using MulticastId = std::int64_t;
-
 // Identifier for a submitted job, stage within a job, or task within a stage.
 using JobId = int;
 using StageId = int;

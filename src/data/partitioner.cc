@@ -34,23 +34,6 @@ RangePartitioner::RangePartitioner(std::vector<std::string> boundaries)
   GS_CHECK(std::is_sorted(boundaries_.begin(), boundaries_.end()));
 }
 
-RangePartitioner RangePartitioner::FromSample(
-    std::vector<std::string> sample_keys, int num_shards) {
-  GS_CHECK(num_shards > 0);
-  std::sort(sample_keys.begin(), sample_keys.end());
-  std::vector<std::string> boundaries;
-  if (!sample_keys.empty()) {
-    for (int i = 1; i < num_shards; ++i) {
-      std::size_t idx = sample_keys.size() * static_cast<std::size_t>(i) /
-                        static_cast<std::size_t>(num_shards);
-      boundaries.push_back(sample_keys[std::min(idx, sample_keys.size() - 1)]);
-    }
-    boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
-                     boundaries.end());
-  }
-  return RangePartitioner(std::move(boundaries));
-}
-
 int RangePartitioner::num_shards() const {
   return static_cast<int>(boundaries_.size()) + 1;
 }

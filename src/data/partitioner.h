@@ -2,7 +2,8 @@
 //
 // Shuffle output of every map partition is split into num_shards() shards,
 // one per reducer — the all-to-all pattern of Fig. 3. HashPartitioner is the
-// default; RangePartitioner (built from sampled keys) backs sortByKey.
+// default; RangePartitioner (from boundary keys the caller samples) backs
+// sortByKey.
 #pragma once
 
 #include <cstdint>
@@ -58,11 +59,6 @@ class HashPartitioner final : public Partitioner {
 class RangePartitioner final : public Partitioner {
  public:
   explicit RangePartitioner(std::vector<std::string> boundaries);
-
-  // Builds boundaries by sampling the given keys to create `num_shards`
-  // near-equal ranges.
-  static RangePartitioner FromSample(std::vector<std::string> sample_keys,
-                                     int num_shards);
 
   int num_shards() const override;
   int ShardOf(const std::string& key) const override;

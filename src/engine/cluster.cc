@@ -285,7 +285,7 @@ void GeoCluster::RestartNode(NodeIndex node) {
 }
 
 void GeoCluster::LoseShuffleBlocks(NodeIndex node) {
-  blocks_->DropKindOnNode(node, BlockId::Kind::kShuffle);
+  blocks_->DropShuffleOnNode(node);
 }
 
 void GeoCluster::SetWanDegradation(DcIndex src, DcIndex dst, double factor,

@@ -59,7 +59,7 @@ FaultInjector::FaultInjector(GeoCluster& cluster, const FaultPlan& plan,
 }
 
 void FaultInjector::ScheduleNextRandomCrash() {
-  if (crashes_fired_ >= plan_.random_crashes.max_crashes) return;
+  if (fired_crashes_ >= plan_.random_crashes.max_crashes) return;
   const SimTime gap =
       rng_.Exponential(plan_.random_crashes.mean_interarrival);
   cluster_.simulator().Schedule(gap, [this] { FireRandomCrash(); });
@@ -76,7 +76,7 @@ void FaultInjector::FireRandomCrash() {
   if (!victims.empty()) {
     const NodeIndex victim = victims[static_cast<std::size_t>(
         rng_.UniformInt(0, static_cast<std::int64_t>(victims.size()) - 1))];
-    ++crashes_fired_;
+    ++fired_crashes_;
     cluster_.CrashNode(victim, plan_.random_crashes.restart_after);
   }
   ScheduleNextRandomCrash();

@@ -22,8 +22,6 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  int crashes_fired() const { return crashes_fired_; }
-
  private:
   void ScheduleNextRandomCrash();
   void FireRandomCrash();
@@ -31,7 +29,7 @@ class FaultInjector {
   GeoCluster& cluster_;
   FaultPlan plan_;
   Rng rng_;
-  int crashes_fired_ = 0;
+  int fired_crashes_ = 0;
 };
 
 }  // namespace gs

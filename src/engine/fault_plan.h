@@ -20,8 +20,8 @@
 namespace gs {
 
 // Crash of one worker node at a scheduled time. The node's executor slots
-// disappear, every block it stored (input caches, shuffle files, pushed
-// partitions) is lost, and tasks running on it are rescheduled elsewhere.
+// disappear, every block it stored (shuffle files and cached partitions) is
+// lost, and tasks running on it are rescheduled elsewhere.
 // Lost *map outputs* are discovered lazily, as in Spark: the driver keeps
 // them registered until a reducer's fetch fails.
 struct NodeCrashEvent {

@@ -38,12 +38,6 @@ struct CostModel {
   SimTime CpuTime(Bytes in, Bytes out) const {
     return static_cast<double>(in + out) / cpu_rate;
   }
-  SimTime DiskReadTime(Bytes b) const {
-    return static_cast<double>(b) / disk_read_rate;
-  }
-  SimTime DiskWriteTime(Bytes b) const {
-    return static_cast<double>(b) / disk_write_rate;
-  }
 
   // Returns a copy rescaled so that inputs divided by `scale` reproduce
   // full-scale timings: byte rates divide by `scale`, and the per-record

@@ -108,13 +108,6 @@ Bytes TrafficMeter::store_pair_bytes(DcIndex src, DcIndex dst) const {
   return store_pair_bytes_[static_cast<std::size_t>(src) * num_dcs_ + dst];
 }
 
-void TrafficMeter::Reset() {
-  std::fill(pair_bytes_.begin(), pair_bytes_.end(), 0);
-  std::fill(store_pair_bytes_.begin(), store_pair_bytes_.end(), 0);
-  kind_cross_dc_.clear();
-  kind_total_.clear();
-}
-
 Network::Network(Simulator& sim, const Topology& topo, NetworkConfig config,
                  Rng jitter_rng, MetricsRegistry* metrics)
     : sim_(sim),
@@ -344,10 +337,10 @@ void Network::CancelFlow(FlowId id) {
   Reconfigure();
 }
 
-MulticastId Network::StartMulticastFlow(NodeIndex src,
-                                        const std::vector<NodeIndex>& dsts,
-                                        Bytes bytes, FlowKind kind,
-                                        CompletionFn on_complete) {
+void Network::StartMulticastFlow(NodeIndex src,
+                                 const std::vector<NodeIndex>& dsts,
+                                 Bytes bytes, FlowKind kind,
+                                 CompletionFn on_complete) {
   GS_CHECK(on_complete != nullptr);
   GS_CHECK_MSG(!dsts.empty(), "multicast needs at least one destination");
   // One leg per distinct receiving datacenter, received by the first node
@@ -364,42 +357,27 @@ MulticastId Network::StartMulticastFlow(NodeIndex src,
     if (!seen) receivers.push_back(dst);
   }
   EnsureMulticastMetrics();
-  const MulticastId id = next_multicast_id_++;
-  MulticastGroup& group = multicasts_[id];
-  group.outstanding = static_cast<int>(receivers.size());
-  group.on_complete = std::move(on_complete);
-  group.legs.reserve(receivers.size());
+  // The group is bookkeeping over ordinary legs, owning no resources and
+  // adding no solver state: the legs share one outstanding count, and the
+  // last to finish fires `on_complete`.
+  struct Group {
+    int outstanding;
+    CompletionFn on_complete;
+  };
+  auto group = std::make_shared<Group>(
+      Group{static_cast<int>(receivers.size()), std::move(on_complete)});
   for (NodeIndex dst : receivers) {
-    group.legs.push_back(StartFlow(src, dst, bytes, kind,
-                                   [this, id] { OnMulticastLegDone(id); }));
+    StartFlow(src, dst, bytes, kind, [this, group] {
+      if (--group->outstanding > 0) return;
+      CompletionFn done = std::move(group->on_complete);
+      if (m_multicasts_completed_ != nullptr) m_multicasts_completed_->Add(1);
+      done();
+    });
   }
   if (m_multicasts_started_ != nullptr) {
     m_multicasts_started_->Add(1);
     m_multicast_legs_->Add(static_cast<std::int64_t>(receivers.size()));
   }
-  return id;
-}
-
-void Network::OnMulticastLegDone(MulticastId id) {
-  auto it = multicasts_.find(id);
-  if (it == multicasts_.end()) return;  // group cancelled meanwhile
-  if (--it->second.outstanding > 0) return;
-  CompletionFn done = std::move(it->second.on_complete);
-  multicasts_.erase(it);
-  if (m_multicasts_completed_ != nullptr) m_multicasts_completed_->Add(1);
-  done();
-}
-
-void Network::CancelMulticastFlow(MulticastId id) {
-  auto it = multicasts_.find(id);
-  if (it == multicasts_.end()) return;
-  // Erase before cancelling the legs so the group callback can never fire
-  // for a half-cancelled group. Legs that already completed are inert ids
-  // and CancelFlow ignores them.
-  std::vector<FlowId> legs = std::move(it->second.legs);
-  multicasts_.erase(it);
-  for (FlowId leg : legs) CancelFlow(leg);
-  if (m_multicasts_cancelled_ != nullptr) m_multicasts_cancelled_->Add(1);
 }
 
 void Network::EnsureMulticastMetrics() {
@@ -409,7 +387,6 @@ void Network::EnsureMulticastMetrics() {
   // report of runs that never multicast.
   m_multicasts_started_ = &metrics_->counter("netsim.multicasts_started");
   m_multicasts_completed_ = &metrics_->counter("netsim.multicasts_completed");
-  m_multicasts_cancelled_ = &metrics_->counter("netsim.multicasts_cancelled");
   m_multicast_legs_ = &metrics_->counter("netsim.multicast_legs");
 }
 
@@ -997,8 +974,8 @@ void Network::CatchUpJitter() {
       const WanLinkSpec& spec = topo_.wan_link(l);
       double deviation = wan_current_[l] - spec.base_rate;
       double fresh = jitter_rng_.Uniform(spec.min_rate, spec.max_rate);
-      double next = spec.base_rate + config_.jitter_momentum * deviation +
-                    (1 - config_.jitter_momentum) * (fresh - spec.base_rate);
+      double next = spec.base_rate + kJitterMomentum * deviation +
+                    (1 - kJitterMomentum) * (fresh - spec.base_rate);
       next = std::clamp(next, static_cast<double>(spec.min_rate),
                         static_cast<double>(spec.max_rate));
       wan_current_[l] = next;

@@ -63,9 +63,6 @@ struct NetworkConfig {
   // Re-draw every WAN link capacity at this period. <= 0 disables jitter
   // (links stay at base_rate).
   SimTime jitter_interval = Seconds(5);
-  // Weight of the previous deviation kept at each re-draw; 0 = i.i.d.
-  // uniform draws, closer to 1 = smoother, mean-reverting traces.
-  double jitter_momentum = 0.5;
 
   // Per-flow TCP behaviour on wide-area paths (Sec. V-A: "flash congestion
   // and temporarily lost connections are common"). Each WAN flow gets an
@@ -78,6 +75,11 @@ struct NetworkConfig {
   double wan_flow_efficiency_min = 0.6;
   double wan_stall_prob = 0.06;
 };
+
+// Weight of the previous deviation kept at each WAN capacity re-draw
+// (NetworkConfig::jitter_interval): a smooth, mean-reverting trace rather
+// than i.i.d. uniform draws.
+inline constexpr double kJitterMomentum = 0.5;
 
 // Bounds of the uniform WAN start stall (NetworkConfig::wan_stall_prob).
 inline constexpr SimTime kWanStallMin = Seconds(2);
@@ -103,8 +105,6 @@ class TrafficMeter {
   // transfer rate instead of the per-region egress tariff, so pricing
   // subtracts it from the egress-billed pair bytes (netsim/pricing.h).
   Bytes store_pair_bytes(DcIndex src, DcIndex dst) const;
-
-  void Reset();
 
  private:
   int num_dcs_;
@@ -195,19 +195,8 @@ class Network {
   // cases. A destination in the source's own datacenter rides the
   // intra-DC/loopback path. `on_complete` fires once, after the last leg's
   // final byte arrives. Duplicate destination DCs collapse into one leg.
-  MulticastId StartMulticastFlow(NodeIndex src,
-                                 const std::vector<NodeIndex>& dsts,
-                                 Bytes bytes, FlowKind kind,
-                                 CompletionFn on_complete);
-
-  // Cancels every still-outstanding leg of a multicast group; the group
-  // callback never fires. Like CancelFlow, bytes stay metered and the call
-  // is a no-op for completed/cancelled/unknown ids.
-  void CancelMulticastFlow(MulticastId id);
-
-  bool has_multicast(MulticastId id) const {
-    return multicasts_.count(id) > 0;
-  }
+  void StartMulticastFlow(NodeIndex src, const std::vector<NodeIndex>& dsts,
+                          Bytes bytes, FlowKind kind, CompletionFn on_complete);
 
   bool has_flow(FlowId id) const { return SlotOf(id) >= 0; }
   int active_flows() const { return tracked_flows_; }
@@ -238,7 +227,6 @@ class Network {
   void SetWanDegradation(DcIndex src, DcIndex dst, double factor);
 
   const TrafficMeter& meter() const { return meter_; }
-  TrafficMeter& meter() { return meter_; }
 
   // Invoked at each (non-loopback) flow completion. One observer at most.
   void SetFlowObserver(FlowObserverFn observer) {
@@ -425,14 +413,6 @@ class Network {
     return config_.jitter_interval > 0 && topo_.num_wan_links() > 0;
   }
 
-  // A multicast group is bookkeeping over ordinary legs: it owns no
-  // resources and adds no solver state.
-  struct MulticastGroup {
-    int outstanding = 0;
-    std::vector<FlowId> legs;
-    CompletionFn on_complete;
-  };
-  void OnMulticastLegDone(MulticastId id);
   // Registers the multicast counters on first use. Lazy so runs that never
   // multicast keep their metric snapshots (and golden reports) unchanged.
   void EnsureMulticastMetrics();
@@ -500,12 +480,9 @@ class Network {
   Histogram* m_fetch_bytes_ = nullptr;
   Histogram* m_push_bytes_ = nullptr;
 
-  // Multicast state. Counters registered lazily (EnsureMulticastMetrics).
-  std::unordered_map<MulticastId, MulticastGroup> multicasts_;
-  MulticastId next_multicast_id_ = 1;
+  // Multicast counters, registered lazily (EnsureMulticastMetrics).
   Counter* m_multicasts_started_ = nullptr;
   Counter* m_multicasts_completed_ = nullptr;
-  Counter* m_multicasts_cancelled_ = nullptr;
   Counter* m_multicast_legs_ = nullptr;
 };
 

@@ -56,12 +56,6 @@ SimTime Topology::rtt(DcIndex src, DcIndex dst) const {
   return idx >= 0 ? wan_links_[idx].rtt : Millis(150);
 }
 
-int Topology::cores_in(DcIndex dc) const {
-  int total = 0;
-  for (NodeIndex n : nodes_in(dc)) total += node(n).cores;
-  return total;
-}
-
 void Topology::ScaleWanCapacity(double factor) {
   GS_CHECK(factor > 0);
   for (WanLinkSpec& link : wan_links_) {
@@ -76,12 +70,6 @@ void Topology::SetWorkerCores(DcIndex dc, int cores) {
   for (NodeIndex n : nodes_in(dc)) {
     if (nodes_[n].worker) nodes_[n].cores = cores;
   }
-}
-
-int Topology::total_cores() const {
-  int total = 0;
-  for (const auto& n : nodes_) total += n.cores;
-  return total;
 }
 
 Topology Ec2SixRegionTopology(double scale) {

@@ -75,10 +75,6 @@ class Topology {
 
   SimTime rtt(DcIndex src, DcIndex dst) const;
 
-  // Total task slots per datacenter / cluster-wide.
-  int cores_in(DcIndex dc) const;
-  int total_cores() const;
-
   // Multiplies every WAN link's base/min/max capacity by `factor`
   // (bandwidth-sensitivity ablation).
   void ScaleWanCapacity(double factor);

@@ -8,7 +8,7 @@
 namespace gs {
 
 std::string BlockId::ToString() const {
-  const char* names[] = {"input", "shuffle", "transfer", "cached"};
+  const char* names[] = {"shuffle", "cached"};
   std::ostringstream os;
   os << names[static_cast<int>(kind)] << "(" << a << "," << b << "," << c
      << ")";
@@ -77,12 +77,6 @@ std::vector<NodeIndex> BlockManager::Locations(const BlockId& id) const {
   return it->second;
 }
 
-std::optional<Block> BlockManager::GetAnywhere(const BlockId& id) const {
-  auto locs = Locations(id);
-  if (locs.empty()) return std::nullopt;
-  return Get(locs.front(), id);
-}
-
 void BlockManager::NoteErase(const Block& block) {
   if (m_blocks_ == nullptr) return;
   m_blocks_->Add(-1);
@@ -105,22 +99,6 @@ void BlockManager::Remove(NodeIndex node, const BlockId& id) {
   }
 }
 
-void BlockManager::RemoveAllOfKind(BlockId::Kind kind) {
-  for (auto& store : stores_) {
-    for (auto it = store.begin(); it != store.end();) {
-      if (it->first.kind == kind) {
-        NoteErase(it->second);
-        it = store.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto it = locations_.begin(); it != locations_.end();) {
-    it = it->first.kind == kind ? locations_.erase(it) : std::next(it);
-  }
-}
-
 void BlockManager::DropNode(NodeIndex node) {
   GS_CHECK(node >= 0 && node < num_nodes());
   std::vector<BlockId> ids;
@@ -129,20 +107,13 @@ void BlockManager::DropNode(NodeIndex node) {
   for (const BlockId& id : ids) Remove(node, id);
 }
 
-void BlockManager::DropKindOnNode(NodeIndex node, BlockId::Kind kind) {
+void BlockManager::DropShuffleOnNode(NodeIndex node) {
   GS_CHECK(node >= 0 && node < num_nodes());
   std::vector<BlockId> ids;
   for (const auto& [id, block] : stores_[node]) {
-    if (id.kind == kind) ids.push_back(id);
+    if (id.kind == BlockId::Kind::kShuffle) ids.push_back(id);
   }
   for (const BlockId& id : ids) Remove(node, id);
-}
-
-Bytes BlockManager::BytesOnNode(NodeIndex node) const {
-  GS_CHECK(node >= 0 && node < num_nodes());
-  Bytes total = 0;
-  for (const auto& [id, block] : stores_[node]) total += block.bytes;
-  return total;
 }
 
 }  // namespace gs

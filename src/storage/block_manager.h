@@ -39,22 +39,15 @@ class BlockManager {
   // All nodes currently holding the block.
   std::vector<NodeIndex> Locations(const BlockId& id) const;
 
-  // Convenience: the block from any node holding it (first location).
-  std::optional<Block> GetAnywhere(const BlockId& id) const;
-
   void Remove(NodeIndex node, const BlockId& id);
-
-  // Drops every block of the given kind (e.g. all shuffle output of a job).
-  void RemoveAllOfKind(BlockId::Kind kind);
 
   // Drops every block stored on a node (node crash: its disks are gone).
   void DropNode(NodeIndex node);
 
-  // Drops the node's blocks of one kind only (e.g. a shuffle-service wipe
-  // loses shuffle files but keeps cached inputs).
-  void DropKindOnNode(NodeIndex node, BlockId::Kind kind);
+  // Drops the node's shuffle blocks only (disk corruption loses shuffle
+  // files but keeps cached partitions).
+  void DropShuffleOnNode(NodeIndex node);
 
-  Bytes BytesOnNode(NodeIndex node) const;
   int num_nodes() const { return static_cast<int>(stores_.size()); }
 
  private:

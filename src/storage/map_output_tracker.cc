@@ -44,10 +44,7 @@ void MapOutputTracker::RegisterMapOutput(
     out.bytes = shard_bytes[k];
   }
   s.primary[map_partition] = node;
-  if (!s.map_done[map_partition]) {
-    s.map_done[map_partition] = true;
-    ++s.registered;
-  }
+  s.map_done[map_partition] = true;
 }
 
 void MapOutputTracker::RelocateShard(ShuffleId shuffle, int map_partition,
@@ -87,7 +84,6 @@ void MapOutputTracker::InvalidateMapOutput(ShuffleId shuffle,
   }
   s.map_done[map_partition] = false;
   s.primary[map_partition] = kNoNode;
-  --s.registered;
   ++epoch_;
 }
 
@@ -117,11 +113,6 @@ int MapOutputTracker::num_shards(ShuffleId shuffle) const {
   return StatusOf(shuffle).num_shards;
 }
 
-bool MapOutputTracker::IsComplete(ShuffleId shuffle) const {
-  const ShuffleStatus& s = StatusOf(shuffle);
-  return s.registered == s.num_map_partitions;
-}
-
 const MapOutputLocation& MapOutputTracker::Output(ShuffleId shuffle,
                                                   int map_partition,
                                                   int shard) const {
@@ -130,15 +121,6 @@ const MapOutputLocation& MapOutputTracker::Output(ShuffleId shuffle,
   GS_CHECK(shard >= 0 && shard < s.num_shards);
   return s.outputs[static_cast<std::size_t>(map_partition) * s.num_shards +
                    shard];
-}
-
-Bytes MapOutputTracker::ShardInputBytes(ShuffleId shuffle, int shard) const {
-  const ShuffleStatus& s = StatusOf(shuffle);
-  Bytes total = 0;
-  for (int m = 0; m < s.num_map_partitions; ++m) {
-    total += Output(shuffle, m, shard).bytes;
-  }
-  return total;
 }
 
 Bytes MapOutputTracker::TotalBytes(ShuffleId shuffle) const {
@@ -191,7 +173,5 @@ std::vector<NodeIndex> MapOutputTracker::PreferredShardLocations(
   std::sort(prefs.begin(), prefs.end());
   return prefs;
 }
-
-void MapOutputTracker::Clear() { shuffles_.clear(); }
 
 }  // namespace gs

@@ -28,12 +28,11 @@ class MapOutputTracker {
                        int num_shards);
 
   // Records that map partition `map_partition` of `shuffle` stored its
-  // shards on `node`, with `shard_bytes[k]` bytes for shard k.
+  // shards on `node`, with `shard_bytes[k]` bytes for shard k. Registering
+  // again overwrites the location (the output moved, e.g. pushed by
+  // transferTo).
   void RegisterMapOutput(ShuffleId shuffle, int map_partition, NodeIndex node,
                          const std::vector<Bytes>& shard_bytes);
-
-  // Re-registration after the output moved (e.g. pushed by transferTo).
-  // Same signature as RegisterMapOutput; simply overwrites the location.
 
   // Moves a single shard of one map partition to `node` (bytes unchanged):
   // the coded-shuffle exchange lands each segment next to its consumer and
@@ -66,15 +65,9 @@ class MapOutputTracker {
   int num_map_partitions(ShuffleId shuffle) const;
   int num_shards(ShuffleId shuffle) const;
 
-  // True once every map partition registered its output.
-  bool IsComplete(ShuffleId shuffle) const;
-
   // Location/size of one shard of one map partition.
   const MapOutputLocation& Output(ShuffleId shuffle, int map_partition,
                                   int shard) const;
-
-  // Total bytes destined to shard (reducer) k, across all map partitions.
-  Bytes ShardInputBytes(ShuffleId shuffle, int shard) const;
 
   // Total shuffle input bytes S.
   Bytes TotalBytes(ShuffleId shuffle) const;
@@ -90,13 +83,10 @@ class MapOutputTracker {
   std::vector<NodeIndex> PreferredShardLocations(ShuffleId shuffle, int shard,
                                                  double fraction) const;
 
-  void Clear();
-
  private:
   struct ShuffleStatus {
     int num_map_partitions = 0;
     int num_shards = 0;
-    int registered = 0;
     // outputs[map_partition * num_shards + shard]
     std::vector<MapOutputLocation> outputs;
     std::vector<bool> map_done;

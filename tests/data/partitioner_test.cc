@@ -91,33 +91,5 @@ TEST(RangePartitionerTest, UnsortedBoundariesThrow) {
   EXPECT_THROW(RangePartitioner({"m", "b"}), CheckFailure);
 }
 
-TEST(RangePartitionerTest, FromSampleBuildsBalancedRanges) {
-  Rng rng(7);
-  std::vector<std::string> keys;
-  for (int i = 0; i < 10000; ++i) {
-    keys.push_back(std::to_string(rng.UniformInt(100000, 999999)));
-  }
-  RangePartitioner p = RangePartitioner::FromSample(keys, 10);
-  EXPECT_EQ(p.num_shards(), 10);
-  std::vector<int> counts(10, 0);
-  for (const auto& k : keys) ++counts[p.ShardOf(k)];
-  for (int c : counts) {
-    EXPECT_GT(c, 400);
-    EXPECT_LT(c, 2500);
-  }
-}
-
-TEST(RangePartitionerTest, FromSampleDedupesBoundaries) {
-  // All-equal sample keys collapse to one boundary -> two shards.
-  std::vector<std::string> keys(100, "same");
-  RangePartitioner p = RangePartitioner::FromSample(keys, 8);
-  EXPECT_LE(p.num_shards(), 2);
-}
-
-TEST(RangePartitionerTest, FromSampleEmptyInput) {
-  RangePartitioner p = RangePartitioner::FromSample({}, 4);
-  EXPECT_EQ(p.num_shards(), 1);
-}
-
 }  // namespace
 }  // namespace gs

@@ -2,7 +2,8 @@
 // placement plus XOR-coded multicast delivery must (a) leave job results
 // bit-identical to the uncoded baseline, (b) beat AggShuffle's cross-DC
 // shuffle volume on the paper's six-region topology at r=2 — the locality
-// win bought by replication — and (c) be rejected at Submit time for
+// win bought by replication — (c) survive its coder node crashing while
+// the multicast is in flight, and (d) be rejected at Submit time for
 // redundancies the cluster cannot host.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "common/check.h"
 #include "engine/cluster.h"
 #include "engine/dataset.h"
+#include "engine/trace.h"
 #include "workloads/hibench.h"
 
 namespace gs {
@@ -54,6 +56,43 @@ TEST(CodedShuffleTest, ResultsMatchUncodedSpark) {
   ASSERT_GT(plain.records.size(), 0u);
   EXPECT_EQ(Sorted(plain.records), Sorted(coded.records))
       << "coding changes delivery, never data";
+}
+
+TEST(CodedShuffleTest, CoderCrashMidMulticastKeepsResults) {
+  // A multicast is never cancelled: a crashed coder's legs run to the
+  // end, DeliverSegment re-checks the holder's block, and a reducer's
+  // fetch failure recovers what the crash lost. Find a WAN leg in a traced
+  // run, then crash its coder for good halfway through it.
+  RunConfig traced = ConfigFor(Scheme::kSpark, 2);
+  traced.observe.trace = true;
+  RunResult probe = RunWordcount(traced);
+  ASSERT_NE(probe.trace, nullptr);
+  const TraceSpan* leg = nullptr;
+  for (const TraceSpan& span : probe.trace->spans()) {
+    if (span.kind == TraceSpan::Kind::kFlow &&
+        span.category == FlowKindName(FlowKind::kCodedMulticast) &&
+        span.dc != span.peer_dc) {
+      leg = &span;
+      break;
+    }
+  }
+  ASSERT_NE(leg, nullptr) << "no coded multicast crossed the WAN";
+  ASSERT_LT(leg->start, leg->end);
+
+  RunConfig cfg = ConfigFor(Scheme::kSpark, 2);
+  NodeCrashEvent crash;
+  crash.at = (leg->start + leg->end) / 2;
+  crash.node = leg->node;
+  cfg.fault.plan.node_crashes.push_back(crash);
+  RunResult coded = RunWordcount(cfg);
+  EXPECT_EQ(coded.metrics.node_crashes, 1);
+  EXPECT_GT(coded.metrics.fetch_failures, 0)
+      << "the crash must have cost blocks that recovery then rebuilt";
+  RunResult plain = RunWordcount(ConfigFor(Scheme::kSpark, 0));
+  EXPECT_EQ(Sorted(plain.records), Sorted(coded.records))
+      << "crash of node " << crash.node << " at t=" << crash.at
+      << " during a multicast leg [" << leg->start << ", " << leg->end
+      << "]";
 }
 
 TEST(CodedShuffleTest, BeatsAggShuffleWanBytesAtRedundancyTwo) {

@@ -1,5 +1,5 @@
-// WAN capacity jitter traces: envelope, momentum, determinism, lazy
-// catch-up semantics.
+// WAN capacity jitter traces: envelope, determinism, lazy catch-up
+// semantics.
 #include <gtest/gtest.h>
 
 #include "netsim/network.h"
@@ -19,20 +19,18 @@ Topology OneLinkTopo(Rate base, Rate min, Rate max) {
   return topo;
 }
 
-NetworkConfig JitterCfg(SimTime interval, double momentum) {
+NetworkConfig JitterCfg(SimTime interval) {
   NetworkConfig cfg;
   cfg.jitter_interval = interval;
-  cfg.jitter_momentum = momentum;
   cfg.wan_flow_efficiency_min = 1.0;
   cfg.wan_stall_prob = 0;
   return cfg;
 }
 
-std::vector<double> SampleTrace(double momentum, std::uint64_t seed,
-                                int samples) {
+std::vector<double> SampleTrace(std::uint64_t seed, int samples) {
   Simulator sim;
   Topology topo = OneLinkTopo(MiB(10), MiB(4), MiB(16));
-  Network net(sim, topo, JitterCfg(1.0, momentum), Rng(seed));
+  Network net(sim, topo, JitterCfg(1.0), Rng(seed));
   std::vector<double> trace;
   for (int i = 1; i <= samples; ++i) {
     sim.RunUntil(static_cast<double>(i));
@@ -42,35 +40,21 @@ std::vector<double> SampleTrace(double momentum, std::uint64_t seed,
 }
 
 TEST(JitterTest, TraceStaysWithinEnvelope) {
-  for (double v : SampleTrace(0.5, 3, 200)) {
+  for (double v : SampleTrace(3, 200)) {
     EXPECT_GE(v, MiB(4) * 0.999);
     EXPECT_LE(v, MiB(16) * 1.001);
   }
 }
 
 TEST(JitterTest, TraceIsDeterministicPerSeed) {
-  EXPECT_EQ(SampleTrace(0.5, 7, 50), SampleTrace(0.5, 7, 50));
-  EXPECT_NE(SampleTrace(0.5, 7, 50), SampleTrace(0.5, 8, 50));
-}
-
-TEST(JitterTest, MomentumSmoothsTheTrace) {
-  // Higher momentum -> smaller mean absolute step between samples.
-  auto mean_step = [](const std::vector<double>& trace) {
-    double total = 0;
-    for (std::size_t i = 1; i < trace.size(); ++i) {
-      total += std::abs(trace[i] - trace[i - 1]);
-    }
-    return total / static_cast<double>(trace.size() - 1);
-  };
-  double rough = mean_step(SampleTrace(0.0, 5, 300));
-  double smooth = mean_step(SampleTrace(0.9, 5, 300));
-  EXPECT_LT(smooth, rough * 0.7);
+  EXPECT_EQ(SampleTrace(7, 50), SampleTrace(7, 50));
+  EXPECT_NE(SampleTrace(7, 50), SampleTrace(8, 50));
 }
 
 TEST(JitterTest, DisabledJitterKeepsBaseRate) {
   Simulator sim;
   Topology topo = OneLinkTopo(MiB(10), MiB(4), MiB(16));
-  Network net(sim, topo, JitterCfg(0, 0.5), Rng(3));
+  Network net(sim, topo, JitterCfg(0), Rng(3));
   for (int i = 1; i <= 20; ++i) {
     sim.RunUntil(static_cast<double>(i));
     EXPECT_DOUBLE_EQ(net.wan_capacity(0, 1), MiB(10));
@@ -83,14 +67,14 @@ TEST(JitterTest, CatchUpIsConsistentWithSteppedObservation) {
   auto observe_late = [] {
     Simulator sim;
     Topology topo = OneLinkTopo(MiB(10), MiB(4), MiB(16));
-    Network net(sim, topo, JitterCfg(1.0, 0.5), Rng(11));
+    Network net(sim, topo, JitterCfg(1.0), Rng(11));
     sim.RunUntil(100.0);
     return net.wan_capacity(0, 1);
   };
   auto observe_stepwise = [] {
     Simulator sim;
     Topology topo = OneLinkTopo(MiB(10), MiB(4), MiB(16));
-    Network net(sim, topo, JitterCfg(1.0, 0.5), Rng(11));
+    Network net(sim, topo, JitterCfg(1.0), Rng(11));
     double last = 0;
     for (int i = 1; i <= 100; ++i) {
       sim.RunUntil(static_cast<double>(i));
@@ -102,7 +86,7 @@ TEST(JitterTest, CatchUpIsConsistentWithSteppedObservation) {
 }
 
 TEST(JitterTest, MeanStaysNearBase) {
-  auto trace = SampleTrace(0.5, 13, 500);
+  auto trace = SampleTrace(13, 500);
   double mean = 0;
   for (double v : trace) mean += v;
   mean /= static_cast<double>(trace.size());

@@ -118,15 +118,6 @@ TEST(NetworkTest, MeterAccountsPerKindAndPair) {
   EXPECT_EQ(m.pair_bytes(0, 0), MiB(4));  // intra-DC tracked but not cross
 }
 
-TEST(NetworkTest, MeterResets) {
-  Fixture f(TestTopo());
-  f.net.StartFlow(0, 2, MiB(1), FlowKind::kOther, [] {});
-  f.sim.Run();
-  EXPECT_GT(f.net.meter().cross_dc_total(), 0);
-  f.net.meter().Reset();
-  EXPECT_EQ(f.net.meter().cross_dc_total(), 0);
-}
-
 TEST(NetworkTest, CancelledFlowNeverCompletes) {
   Fixture f(TestTopo());
   bool completed = false;
@@ -161,7 +152,6 @@ TEST(NetworkTest, ZeroByteFlowCompletesAfterLatency) {
 TEST(NetworkTest, JitterKeepsCapacityWithinEnvelope) {
   NetworkConfig cfg;
   cfg.jitter_interval = 0.5;
-  cfg.jitter_momentum = 0.5;
   cfg.wan_flow_efficiency_min = 1.0;
   cfg.wan_stall_prob = 0;
   Topology topo;

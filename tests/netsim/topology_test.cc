@@ -31,8 +31,7 @@ TEST(TopologyTest, Ec2CoresMatchM3Large) {
       EXPECT_EQ(topo.node(n).cores, 2);
     }
   }
-  EXPECT_EQ(topo.cores_in(0), 9);  // 4 workers x 2 + driver's 1 (non-worker)
-  EXPECT_EQ(topo.total_cores(), 49);
+  EXPECT_EQ(topo.node(kEc2DriverNode).cores, 1);
 }
 
 TEST(TopologyTest, Ec2WanRatesWithinMeasuredEnvelope) {

@@ -13,25 +13,25 @@ RecordsPtr SomeRecords() {
 }
 
 TEST(BlockIdTest, FactoriesAndEquality) {
-  EXPECT_EQ(BlockId::Input(3, 4), BlockId::Input(3, 4));
-  EXPECT_NE(BlockId::Input(3, 4), BlockId::Input(3, 5));
-  EXPECT_NE(BlockId::Input(3, 4), BlockId::Cached(3, 4));
+  EXPECT_EQ(BlockId::Cached(3, 4), BlockId::Cached(3, 4));
+  EXPECT_NE(BlockId::Cached(3, 4), BlockId::Cached(3, 5));
+  EXPECT_NE(BlockId::Shuffle(3, 4, 0), BlockId::Cached(3, 4));
   EXPECT_NE(BlockId::Shuffle(1, 2, 3), BlockId::Shuffle(1, 3, 2));
 }
 
 TEST(BlockIdTest, HashDistinguishesKinds) {
   BlockIdHash h;
-  EXPECT_NE(h(BlockId::Input(1, 2)), h(BlockId::Cached(1, 2)));
+  EXPECT_NE(h(BlockId::Shuffle(1, 2, 0)), h(BlockId::Cached(1, 2)));
 }
 
 TEST(BlockIdTest, ToStringNamesKind) {
   EXPECT_EQ(BlockId::Shuffle(1, 2, 3).ToString(), "shuffle(1,2,3)");
-  EXPECT_EQ(BlockId::Input(0, 7).ToString(), "input(0,7,0)");
+  EXPECT_EQ(BlockId::Cached(0, 7).ToString(), "cached(0,7,0)");
 }
 
 TEST(BlockManagerTest, PutGetRoundTrip) {
   BlockManager bm(4);
-  BlockId id = BlockId::Input(1, 0);
+  BlockId id = BlockId::Cached(1, 0);
   bm.Put(2, id, SomeRecords());
   EXPECT_TRUE(bm.Has(2, id));
   EXPECT_FALSE(bm.Has(1, id));
@@ -43,7 +43,7 @@ TEST(BlockManagerTest, PutGetRoundTrip) {
 
 TEST(BlockManagerTest, GetMissingReturnsNullopt) {
   BlockManager bm(2);
-  EXPECT_FALSE(bm.Get(0, BlockId::Input(9, 9)).has_value());
+  EXPECT_FALSE(bm.Get(0, BlockId::Cached(9, 9)).has_value());
 }
 
 TEST(BlockManagerTest, PutWithExplicitSize) {
@@ -60,13 +60,11 @@ TEST(BlockManagerTest, LocationsTrackAllHolders) {
   bm.Put(3, id, SomeRecords());
   auto locs = bm.Locations(id);
   EXPECT_EQ(locs, (std::vector<NodeIndex>{1, 3}));
-  auto any = bm.GetAnywhere(id);
-  ASSERT_TRUE(any.has_value());
 }
 
 TEST(BlockManagerTest, ReplacingOnSameNodeKeepsOneLocation) {
   BlockManager bm(2);
-  BlockId id = BlockId::Input(0, 0);
+  BlockId id = BlockId::Shuffle(0, 0, 0);
   bm.Put(0, id, SomeRecords());
   bm.Put(0, id, SomeRecords());
   EXPECT_EQ(bm.Locations(id).size(), 1u);
@@ -74,7 +72,7 @@ TEST(BlockManagerTest, ReplacingOnSameNodeKeepsOneLocation) {
 
 TEST(BlockManagerTest, RemoveDropsLocation) {
   BlockManager bm(3);
-  BlockId id = BlockId::Input(0, 0);
+  BlockId id = BlockId::Shuffle(0, 0, 0);
   bm.Put(0, id, SomeRecords());
   bm.Put(1, id, SomeRecords());
   bm.Remove(0, id);
@@ -84,30 +82,22 @@ TEST(BlockManagerTest, RemoveDropsLocation) {
   EXPECT_TRUE(bm.Locations(id).empty());
 }
 
-TEST(BlockManagerTest, RemoveAllOfKind) {
+TEST(BlockManagerTest, DropShuffleOnNodeKeepsCachedBlocks) {
   BlockManager bm(2);
   bm.Put(0, BlockId::Shuffle(0, 0, 0), SomeRecords());
-  bm.Put(0, BlockId::Shuffle(0, 1, 0), SomeRecords());
-  bm.Put(1, BlockId::Cached(2, 0), SomeRecords());
-  bm.RemoveAllOfKind(BlockId::Kind::kShuffle);
+  bm.Put(0, BlockId::Cached(2, 0), SomeRecords());
+  bm.Put(1, BlockId::Shuffle(0, 1, 0), SomeRecords());
+  bm.DropShuffleOnNode(0);
   EXPECT_FALSE(bm.Has(0, BlockId::Shuffle(0, 0, 0)));
-  EXPECT_TRUE(bm.Has(1, BlockId::Cached(2, 0)));
   EXPECT_TRUE(bm.Locations(BlockId::Shuffle(0, 0, 0)).empty());
-}
-
-TEST(BlockManagerTest, BytesOnNodeSums) {
-  BlockManager bm(2);
-  bm.PutWithSize(0, BlockId::Input(0, 0), SomeRecords(), 100);
-  bm.PutWithSize(0, BlockId::Input(0, 1), SomeRecords(), 200);
-  bm.PutWithSize(1, BlockId::Input(0, 2), SomeRecords(), 999);
-  EXPECT_EQ(bm.BytesOnNode(0), 300);
-  EXPECT_EQ(bm.BytesOnNode(1), 999);
+  EXPECT_TRUE(bm.Has(0, BlockId::Cached(2, 0)));
+  EXPECT_TRUE(bm.Has(1, BlockId::Shuffle(0, 1, 0)));
 }
 
 TEST(BlockManagerTest, OutOfRangeNodeThrows) {
   BlockManager bm(2);
-  EXPECT_THROW(bm.Put(2, BlockId::Input(0, 0), SomeRecords()), CheckFailure);
-  EXPECT_THROW(bm.Get(-1, BlockId::Input(0, 0)), CheckFailure);
+  EXPECT_THROW(bm.Put(2, BlockId::Cached(0, 0), SomeRecords()), CheckFailure);
+  EXPECT_THROW(bm.Get(-1, BlockId::Cached(0, 0)), CheckFailure);
 }
 
 }  // namespace

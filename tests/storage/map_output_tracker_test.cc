@@ -18,18 +18,16 @@ TEST_F(MapOutputTrackerTest, RegisterAndQuery) {
   EXPECT_FALSE(tracker_.HasShuffle(1));
   EXPECT_EQ(tracker_.num_map_partitions(0), 3);
   EXPECT_EQ(tracker_.num_shards(0), 2);
-  EXPECT_FALSE(tracker_.IsComplete(0));
+  EXPECT_FALSE(tracker_.MapOutputRegistered(0, 2));
 
   tracker_.RegisterMapOutput(0, 0, /*node=*/4, {100, 200});
   tracker_.RegisterMapOutput(0, 1, /*node=*/5, {10, 20});
-  EXPECT_FALSE(tracker_.IsComplete(0));
+  EXPECT_FALSE(tracker_.MapOutputRegistered(0, 2));
   tracker_.RegisterMapOutput(0, 2, /*node=*/4, {1, 2});
-  EXPECT_TRUE(tracker_.IsComplete(0));
+  EXPECT_TRUE(tracker_.MapOutputRegistered(0, 2));
 
   EXPECT_EQ(tracker_.Output(0, 0, 1).node, 4);
   EXPECT_EQ(tracker_.Output(0, 0, 1).bytes, 200);
-  EXPECT_EQ(tracker_.ShardInputBytes(0, 0), 111);
-  EXPECT_EQ(tracker_.ShardInputBytes(0, 1), 222);
   EXPECT_EQ(tracker_.TotalBytes(0), 333);
 }
 
@@ -47,7 +45,7 @@ TEST_F(MapOutputTrackerTest, ReRegistrationOverwritesLocation) {
   tracker_.RegisterMapOutput(0, 0, 1, {50, 60});
   tracker_.RegisterMapOutput(0, 0, 9, {50, 60});
   EXPECT_EQ(tracker_.Output(0, 0, 0).node, 9);
-  EXPECT_TRUE(tracker_.IsComplete(0));
+  EXPECT_TRUE(tracker_.MapOutputRegistered(0, 0));
 }
 
 TEST_F(MapOutputTrackerTest, BytesPerNodeAndPerDc) {
@@ -95,12 +93,6 @@ TEST_F(MapOutputTrackerTest, UnknownShuffleThrows) {
 TEST_F(MapOutputTrackerTest, WrongShardCountThrows) {
   tracker_.RegisterShuffle(0, 1, 3);
   EXPECT_THROW(tracker_.RegisterMapOutput(0, 0, 0, {1, 2}), CheckFailure);
-}
-
-TEST_F(MapOutputTrackerTest, ClearForgetsEverything) {
-  tracker_.RegisterShuffle(0, 1, 1);
-  tracker_.Clear();
-  EXPECT_FALSE(tracker_.HasShuffle(0));
 }
 
 }  // namespace

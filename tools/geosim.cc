@@ -13,6 +13,7 @@
 //   geosim --workload=sort --scheme=spark --trace=trace.json --gantt
 //   geosim --workload=wordcount --jobs=8 --arrival=0.5 --tenants=2
 //   geosim --help
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -188,9 +189,10 @@ bool ParseDoubleMin(const std::string& s, const char* flag, double min_value,
                     double* out) {
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || !(v >= min_value)) {
+  if (end == s.c_str() || *end != '\0' || !std::isfinite(v) ||
+      v < min_value) {
     std::cerr << "invalid value for --" << flag << ": '" << s
-              << "' (want a number >= " << min_value << ")\n";
+              << "' (want a finite number >= " << min_value << ")\n";
     return false;
   }
   *out = v;
@@ -273,16 +275,13 @@ bool ParseOptions(int argc, char** argv, Options* opts) {
     } else if (ParseFlag(argv[i], "runs", &value)) {
       if (!ParseIntIn(value, "runs", 1, 1'000'000, &opts->runs)) return false;
     } else if (ParseFlag(argv[i], "scale", &value)) {
-      // The scale is a divisor: zero or negative would be meaningless (or
-      // a division by zero), so reject instead of clamping.
-      char* end = nullptr;
-      const double v = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || !(v > 0)) {
-        std::cerr << "invalid value for --scale: '" << value
-                  << "' (want a number > 0)\n";
+      // The scale is a divisor: zero would be meaningless (a division by
+      // zero), so reject instead of clamping.
+      if (!ParseDoubleMin(value, "scale", 0.0, &opts->scale) ||
+          opts->scale <= 0) {
+        std::cerr << "invalid value for --scale: want a number > 0\n";
         return false;
       }
-      opts->scale = v;
     } else if (ParseFlag(argv[i], "seed", &value)) {
       if (!ParseU64(value, "seed", &opts->seed)) return false;
     } else if (ParseFlag(argv[i], "aggregators", &value)) {
