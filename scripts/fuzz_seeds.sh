@@ -7,15 +7,13 @@
 #
 # Usage: fuzz_seeds.sh [seed...]
 # With no seeds, replays the known-failing AggShuffle permanent-crash
-# seeds (ROADMAP.md, robustness item): the drain family first, then the
-# queue-not-drained family.
+# seeds (ROADMAP.md, robustness item): the drain family.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SEEDS=("$@")
 if [[ ${#SEEDS[@]} -eq 0 ]]; then
-  SEEDS=(3293 8377 9145 9515 9634 10362 12227 103961 203133 300118
-         5659 5814 6124 7227 7430 10670 10803 11210 12489 14720 14802)
+  SEEDS=(3293 8377 9145 9515 9634 10362 12227 103961 203133 300118)
 fi
 
 BUILD_DIR="${GS_FUZZ_BUILD_DIR:-build}"

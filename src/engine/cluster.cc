@@ -619,19 +619,18 @@ RunReport GeoCluster::BuildReport(const JobMetrics& job,
           ? WanPricing(rates)
           : WanPricing::Uniform(topo_.num_datacenters());
   // Bytes staged through an object store skip the egress tariff and are
-  // billed by the store tariff instead; with no store flows the split is
-  // exactly the old CostUsd (direct reports stay byte-identical).
+  // billed by the store tariff instead; with no store flows the store
+  // share is exactly zero.
   report.egress_cost_usd = pricing.EgressCostUsd(network_->meter(), topo_);
   report.store_cost_usd = WanPricing::StoreCostUsd(network_->meter(), topo_,
                                                    ObjectStoreTariff{});
   report.cost_usd = report.egress_cost_usd + report.store_cost_usd;
   report.cost_usd_full_scale = report.cost_usd * config_.scale;
-  if (config_.transport.kind != TransportKind::kDirect) {
-    report.transport = TransportKindName(config_.transport.kind);
-  }
+  report.transport = TransportKindName(config_.transport.kind);
   report.adaptive = config_.adaptive.enabled;
   report.coded = config_.coded.enabled;
-  report.coded_redundancy_r = config_.coded.redundancy_r;
+  report.coded_redundancy_r =
+      config_.coded.enabled ? config_.coded.redundancy_r : 0;
 
   if (trace != nullptr) {
     report.trace.enabled = true;

@@ -108,8 +108,17 @@ RunResult JobRunner::TakeResult() {
     reg->counter("engine.map_resubmissions").Add(metrics_.map_resubmissions);
     reg->counter("engine.push_retries").Add(metrics_.push_retries);
     reg->counter("engine.push_fallbacks").Add(metrics_.push_fallbacks);
-    placement_.RegisterCounters(*reg);
-    if (coded_) coded_->RegisterCounters(*reg);
+    reg->counter("engine.adaptive_replans").Add(metrics_.replans);
+    reg->counter("engine.adaptive_receivers_moved")
+        .Add(metrics_.receivers_moved);
+    reg->counter("engine.adaptive_fallbacks").Add(metrics_.adaptive_fallbacks);
+    reg->counter("engine.placement_misses").Add(metrics_.placement_misses);
+    reg->counter("engine.coded_groups").Add(metrics_.coded_groups);
+    reg->counter("engine.coded_multicast_bytes")
+        .Add(metrics_.coded_multicast_bytes);
+    reg->counter("engine.coded_residual_bytes")
+        .Add(metrics_.coded_residual_bytes);
+    reg->counter("engine.coded_local_bytes").Add(metrics_.coded_local_bytes);
   }
 
   RunResult result;
@@ -993,14 +1002,13 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
     // the tenant's busy accounting (the slot itself died with the node).
     cluster_.scheduler().ReleaseSlot(receiver.node, tenant_);
     receiver.assigned = false;
-  } else if (receiver.data_landed && placement_.adaptive()) {
+  } else if (receiver.data_landed) {
     // The write-phase request is still queued, pinned kNodeOnly to the
     // crashed node — it would sit in the scheduler's queue until that
-    // node restarts. The epoch bump above already orphaned it; lift the
-    // pin so the next free slot anywhere drains the entry (the stale
-    // grant is released on delivery). Gated on adaptivity because the
-    // extra grant/release cycle perturbs assignment order, and
-    // non-adaptive runs must stay byte-identical to the seed goldens.
+    // node restarts, or forever after a permanent crash. The epoch bump
+    // above already orphaned it; lift the pin so the next free slot
+    // anywhere drains the entry (the stale grant is released on
+    // delivery).
     cluster_.scheduler().UpdatePreferences(SchedulerTaskId(receiver), {},
                                            PlacementPolicy::kAnyAfterWait);
   }

@@ -52,8 +52,8 @@ struct JobMetrics {
   int push_retries = 0;        // transfer pushes retried after receiver loss
   int push_fallbacks = 0;      // pushes degraded to producer-local (fetch)
 
-  // Adaptive-control accounting (docs/ADAPTIVE.md); all stay 0 — and out
-  // of the report JSON — unless AdaptiveConfig::enabled.
+  // Adaptive-control accounting (docs/ADAPTIVE.md); all stay 0 unless
+  // AdaptiveConfig::enabled.
   int replans = 0;             // replanner passes that changed a plan
   int receivers_moved = 0;     // receiver shards re-placed mid-job
   int adaptive_fallbacks = 0;  // shards degraded push->fetch by bandwidth
@@ -64,8 +64,8 @@ struct JobMetrics {
   // values mean Eq. 2 planned against an undercount.
   int placement_misses = 0;
 
-  // Coded-shuffle accounting (docs/CODED.md); all stay 0 — and out of the
-  // report JSON — unless CodedConfig::enabled.
+  // Coded-shuffle accounting (docs/CODED.md); all stay 0 unless
+  // CodedConfig::enabled.
   int coded_groups = 0;             // XOR groups multicast
   Bytes coded_multicast_bytes = 0;  // WAN bytes moved as coded packets
   Bytes coded_residual_bytes = 0;   // uncoded remainder, unicast fallback

@@ -92,7 +92,7 @@ struct TransportConfig {
 
 // Adaptive aggregator placement and mid-job replanning (docs/ADAPTIVE.md).
 // Off by default: with `enabled` false the engine runs the paper's static
-// Eq. 2 chooser and RunReports stay byte-identical to non-adaptive builds.
+// Eq. 2 chooser, and the report's adaptive keys read false and 0.
 // When enabled, aggregator datacenters are ranked by *effective measured
 // bandwidth* (netsim's decayed utilization estimate) instead of input
 // volume alone, and WAN degradation events re-run the policy mid-job for
@@ -110,8 +110,8 @@ struct AdaptiveConfig {
 
 // Coded shuffle (docs/CODED.md): trade map compute for WAN bytes, after
 // Coded MapReduce. Off by default — with `enabled` false nothing in the
-// engine's behaviour changes and RunReports stay byte-identical to
-// non-coded builds. When enabled (baseline fetch scheme only), every map
+// engine's behaviour changes, and the report's coded keys read false and
+// 0. When enabled (baseline fetch scheme only), every map
 // partition executes in `redundancy_r` datacenters instead of one. The
 // replication overlap then lets the shuffle serve most shard segments from
 // a replica inside the consuming datacenter (zero WAN bytes) and deliver

@@ -27,7 +27,7 @@ void WriteStage(JsonWriter& w, const StageMetrics& s) {
   w.EndObject();
 }
 
-void WriteJob(JsonWriter& w, const JobMetrics& j, bool adaptive, bool coded) {
+void WriteJob(JsonWriter& w, const JobMetrics& j) {
   w.BeginObject();
   w.Key("job_id").Value(static_cast<std::int64_t>(j.job_id));
   w.Key("tenant").Value(j.tenant);
@@ -46,24 +46,16 @@ void WriteJob(JsonWriter& w, const JobMetrics& j, bool adaptive, bool coded) {
   w.Key("map_resubmissions").Value(j.map_resubmissions);
   w.Key("push_retries").Value(j.push_retries);
   w.Key("push_fallbacks").Value(j.push_fallbacks);
-  if (adaptive) {
-    w.Key("replans").Value(j.replans);
-    w.Key("receivers_moved").Value(j.receivers_moved);
-    w.Key("adaptive_fallbacks").Value(j.adaptive_fallbacks);
-  }
-  // Gated on a nonzero count, not a config flag: a miss can strike any
-  // run, and healthy reports must stay byte-identical to older ones.
-  if (j.placement_misses != 0) {
-    w.Key("placement_misses").Value(j.placement_misses);
-  }
-  if (coded) {
-    w.Key("coded_groups").Value(j.coded_groups);
-    w.Key("coded_multicast_bytes").Value(j.coded_multicast_bytes);
-    w.Key("coded_residual_bytes").Value(j.coded_residual_bytes);
-    w.Key("coded_local_bytes").Value(j.coded_local_bytes);
-    w.Key("coded_replica_compute_seconds")
-        .Value(j.coded_replica_compute_seconds);
-  }
+  w.Key("replans").Value(j.replans);
+  w.Key("receivers_moved").Value(j.receivers_moved);
+  w.Key("adaptive_fallbacks").Value(j.adaptive_fallbacks);
+  w.Key("placement_misses").Value(j.placement_misses);
+  w.Key("coded_groups").Value(j.coded_groups);
+  w.Key("coded_multicast_bytes").Value(j.coded_multicast_bytes);
+  w.Key("coded_residual_bytes").Value(j.coded_residual_bytes);
+  w.Key("coded_local_bytes").Value(j.coded_local_bytes);
+  w.Key("coded_replica_compute_seconds")
+      .Value(j.coded_replica_compute_seconds);
   w.Key("stages").BeginArray();
   for (const StageMetrics& s : j.stages) WriteStage(w, s);
   w.EndArray();
@@ -130,20 +122,14 @@ void WriteLink(JsonWriter& w, const RunReport::LinkSeries& l) {
 std::string RunReport::ToJson() const {
   JsonWriter w;
   w.BeginObject();
-  // The transport and cost-breakdown keys are gated so direct-transport
-  // reports stay byte-identical to pre-ShuffleTransport ones (the golden
-  // files pin this).
-  const bool nondirect_transport = !transport.empty() && transport != "direct";
   w.Key("schema_version").Value(kSchemaVersion);
   w.Key("scheme").Value(scheme);
-  if (nondirect_transport) w.Key("transport").Value(transport);
-  if (adaptive) w.Key("adaptive").Value(true);
-  if (coded) {
-    w.Key("coded").BeginObject();
-    w.Key("enabled").Value(true);
-    w.Key("redundancy_r").Value(coded_redundancy_r);
-    w.EndObject();
-  }
+  w.Key("transport").Value(transport);
+  w.Key("adaptive").Value(adaptive);
+  w.Key("coded").BeginObject();
+  w.Key("enabled").Value(coded);
+  w.Key("redundancy_r").Value(coded_redundancy_r);
+  w.EndObject();
   w.Key("seed").Value(static_cast<std::uint64_t>(seed));
   w.Key("scale").Value(scale);
   w.Key("label").Value(label);
@@ -152,7 +138,7 @@ std::string RunReport::ToJson() const {
   w.Key("num_nodes").Value(num_nodes);
   w.EndObject();
   w.Key("job");
-  WriteJob(w, job, adaptive, coded);
+  WriteJob(w, job);
   w.Key("jobs").BeginArray();
   for (const JobRow& r : jobs) WriteJobRow(w, r);
   w.EndArray();
@@ -171,10 +157,8 @@ std::string RunReport::ToJson() const {
   w.Key("cost").BeginObject();
   w.Key("cost_usd").Value(cost_usd);
   w.Key("cost_usd_full_scale").Value(cost_usd_full_scale);
-  if (nondirect_transport) {
-    w.Key("egress_cost_usd").Value(egress_cost_usd);
-    w.Key("store_cost_usd").Value(store_cost_usd);
-  }
+  w.Key("egress_cost_usd").Value(egress_cost_usd);
+  w.Key("store_cost_usd").Value(store_cost_usd);
   w.EndObject();
   w.Key("trace").BeginObject();
   w.Key("enabled").Value(trace.enabled);

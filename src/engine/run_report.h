@@ -32,34 +32,16 @@ struct RunReport {
   // Bump when the JSON layout changes incompatibly.
   // v2: per-job `jobs` array; job section gained job_id/tenant/submitted/
   //     queue_delay (multi-tenant service, docs/SERVICE.md).
-  //     Additive, still v2: runs under a non-direct transport kind gain a
-  //     top-level `transport` key and an egress/store cost breakdown in the
-  //     cost section (absent under the direct kind, keeping direct reports
-  //     byte-identical to pre-transport ones).
-  //     Additive, still v2: adaptive runs (AdaptiveConfig::enabled) gain a
-  //     top-level `adaptive` key and replans/receivers_moved/
-  //     adaptive_fallbacks counters in the job section (absent with
-  //     adaptivity off, keeping non-adaptive reports byte-identical).
-  //     Additive, still v2: coded runs (CodedConfig::enabled) gain a
-  //     top-level `coded` object and coded_* counters in the job section;
-  //     jobs that hit a cached-input placement miss gain a
-  //     placement_misses key (absent when zero — healthy reports stay
-  //     byte-identical).
-  static constexpr int kSchemaVersion = 2;
+  // v3: every run writes every key, whatever its transport, flags or faults.
+  static constexpr int kSchemaVersion = 3;
 
   // Run identity.
   std::string scheme;      // shuffle scheme name ("baseline", "transfer"...)
-  // Shuffle-transport backend name ("objstore", "fabric"); empty or
-  // "direct" suppresses the transport/cost-breakdown keys in ToJson().
+  // Shuffle-transport backend name ("direct", "objstore", "fabric").
   std::string transport;
-  // True when the run used adaptive placement (AdaptiveConfig::enabled);
-  // gates the adaptive keys in ToJson() the same way `transport` gates
-  // the transport ones.
-  bool adaptive = false;
-  // True when the run used coded shuffle (CodedConfig::enabled); gates the
-  // coded keys in ToJson() like `adaptive` above.
-  bool coded = false;
-  int coded_redundancy_r = 0;
+  bool adaptive = false;   // AdaptiveConfig::enabled
+  bool coded = false;      // CodedConfig::enabled
+  int coded_redundancy_r = 0;  // CodedConfig::redundancy_r; 0 when not coded
   std::uint64_t seed = 0;
   double scale = 1.0;      // data-size scale factor of the run
   std::string label;       // free-form (workload or bench name); may be ""
@@ -114,7 +96,7 @@ struct RunReport {
   // (divide by `scale`).
   double cost_usd = 0;
   double cost_usd_full_scale = 0;
-  // Breakdown of cost_usd, emitted only for non-direct transports.
+  // Breakdown of cost_usd.
   double egress_cost_usd = 0;
   double store_cost_usd = 0;
 

@@ -396,13 +396,4 @@ void CodedExchange::AppendAlternates(ShuffleId sid, int shard,
   }
 }
 
-void CodedExchange::RegisterCounters(MetricsRegistry& reg) const {
-  reg.counter("engine.coded_groups").Add(metrics_.coded_groups);
-  reg.counter("engine.coded_multicast_bytes")
-      .Add(metrics_.coded_multicast_bytes);
-  reg.counter("engine.coded_residual_bytes")
-      .Add(metrics_.coded_residual_bytes);
-  reg.counter("engine.coded_local_bytes").Add(metrics_.coded_local_bytes);
-}
-
 }  // namespace gs

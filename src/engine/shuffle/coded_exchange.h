@@ -56,7 +56,6 @@ class CodedExchange {
   // alternates (landing node first, then the largest replica holders).
   void AppendAlternates(ShuffleId sid, int shard,
                         std::vector<NodeIndex>* prefs) const;
-  void RegisterCounters(MetricsRegistry& reg) const;
 
  private:
   // One shuffle-write stage's exchange: `pending` counts the transfers

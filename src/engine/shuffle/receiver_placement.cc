@@ -213,15 +213,6 @@ ReceiverPlacement::Move ReceiverPlacement::ReplanShard(
   return move;
 }
 
-void ReceiverPlacement::RegisterCounters(MetricsRegistry& reg) const {
-  // Registered only under adaptivity so metric snapshots of non-adaptive
-  // runs stay identical to the seed goldens.
-  if (!config_.adaptive.enabled) return;
-  reg.counter("engine.adaptive_replans").Add(metrics_.replans);
-  reg.counter("engine.adaptive_receivers_moved").Add(metrics_.receivers_moved);
-  reg.counter("engine.adaptive_fallbacks").Add(metrics_.adaptive_fallbacks);
-}
-
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
@@ -251,7 +242,7 @@ std::vector<Bytes> ReceiverPlacement::StageInputPerDc(const Stage& producer) {
         GS_LOG_INFO << "aggregator choice: cached rdd" << cut.rdd->id()
                     << "/" << cut.partition
                     << " has no live replica; counting 0 bytes";
-        CountPlacementMiss();
+        ++metrics_.placement_misses;
         continue;
       }
       std::optional<Block> b = cluster_.blocks().Get(live, bid);
@@ -259,7 +250,7 @@ std::vector<Bytes> ReceiverPlacement::StageInputPerDc(const Stage& producer) {
         GS_LOG_INFO << "aggregator choice: cached rdd" << cut.rdd->id()
                     << "/" << cut.partition << " missing on "
                     << topo_.node(live).name << "; counting 0 bytes";
-        CountPlacementMiss();
+        ++metrics_.placement_misses;
       }
       per_dc[topo_.dc_of(live)] += b ? b->bytes : 0;
       continue;
@@ -298,15 +289,6 @@ std::vector<Bytes> ReceiverPlacement::StageInputPerDc(const Stage& producer) {
     }
   }
   return per_dc;
-}
-
-void ReceiverPlacement::CountPlacementMiss() {
-  ++metrics_.placement_misses;
-  if (MetricsRegistry* reg = cluster_.metrics_registry()) {
-    // Registered lazily at the first miss so healthy runs' metric
-    // snapshots stay byte-identical to the seed goldens.
-    reg->counter("engine.placement_misses").Add(1);
-  }
 }
 
 // Every ordering stable-sorts the identity ranking, so ties keep index

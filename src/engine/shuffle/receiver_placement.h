@@ -60,9 +60,6 @@ class ReceiverPlacement {
   // (round-robin), or of any datacenter if the subset is fully down.
   NodeIndex PickNode(StageId consumer, NodeIndex exclude);
 
-  // AdaptiveConfig::enabled. RecoverReceiver lifts a dead receiver's
-  // kNodeOnly pin only then.
-  bool adaptive() const { return config_.adaptive.enabled; }
   // Whether a WAN change re-runs placement: adaptive replanning is on and
   // no plan is pinned (the offline-oracle bench arm never moves).
   bool ReplansOnWanChange() const;
@@ -88,8 +85,6 @@ class ReceiverPlacement {
   // fell below kDegradeThreshold x base rate.
   Move ReplanShard(StageId consumer, bool retargeted, int partition,
                    NodeIndex node, NodeIndex producer_node);
-
-  void RegisterCounters(MetricsRegistry& reg) const;
 
  private:
   // One receiver stage's placement.
@@ -122,9 +117,6 @@ class ReceiverPlacement {
                                      DcIndex dc) const;
   // The top-k of Rank(per_dc) (k = aggregator_dc_count).
   std::vector<DcIndex> ChooseAggregatorDcs(const std::vector<Bytes>& per_dc);
-  // Satellite fix: a cached partition whose every replica is dead or
-  // evicted at planning time is counted, not just logged.
-  void CountPlacementMiss();
 
   GeoCluster& cluster_;
   Simulator& sim_;

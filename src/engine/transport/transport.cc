@@ -25,6 +25,11 @@ ShuffleTransport::ShuffleTransport(const TransportConfig& config,
                                    MetricsRegistry* metrics)
     : config_(config), net_(net) {
   GS_CHECK(scale > 0);
+  if (metrics != nullptr) {
+    store_puts_ = &metrics->counter("transport.store_puts");
+    store_gets_ = &metrics->counter("transport.store_gets");
+    fabric_transfers_ = &metrics->counter("transport.fabric_transfers");
+  }
   const Topology& topo = net_.topology();
   switch (config_.kind) {
     case TransportKind::kDirect:
@@ -36,18 +41,11 @@ ShuffleTransport::ShuffleTransport(const TransportConfig& config,
         GS_CHECK_MSG(!topo.nodes_in(dc).empty(), "datacenter has no nodes");
         store_addr_.push_back(topo.nodes_in(dc).front());
       }
-      if (metrics != nullptr) {
-        store_puts_ = &metrics->counter("transport.store_puts");
-        store_gets_ = &metrics->counter("transport.store_gets");
-      }
       break;
     case TransportKind::kFabric:
       for (DcIndex dc = 0; dc < topo.num_datacenters(); ++dc) {
         service_res_.push_back(
             net_.AddServiceResource(config_.fabric.rate / scale));
-      }
-      if (metrics != nullptr) {
-        fabric_transfers_ = &metrics->counter("transport.fabric_transfers");
       }
       break;
   }

@@ -59,9 +59,8 @@ class ShuffleTransport {
   // datacenter in datacenter order (object-store tiers or fabrics; none
   // for kDirect), so no flow may have started yet. `scale` divides the
   // configured full-scale rates like every other capacity
-  // (RunConfig::scale). `metrics` may be null; the transport.* counters
-  // are registered only by the kind that bumps them, keeping direct runs'
-  // metric snapshots untouched.
+  // (RunConfig::scale). `metrics` may be null; otherwise every
+  // transport.* counter is registered, whatever the kind.
   ShuffleTransport(const TransportConfig& config, double scale, Network& net,
                    MetricsRegistry* metrics);
 

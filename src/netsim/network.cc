@@ -114,8 +114,7 @@ Network::Network(Simulator& sim, const Topology& topo, NetworkConfig config,
       topo_(topo),
       config_(config),
       jitter_rng_(std::move(jitter_rng)),
-      meter_(topo.num_datacenters()),
-      metrics_(metrics) {
+      meter_(topo.num_datacenters()) {
   if (metrics != nullptr) {
     m_flows_started_ = &metrics->counter("netsim.flows_started");
     m_flows_completed_ = &metrics->counter("netsim.flows_completed");
@@ -130,6 +129,9 @@ Network::Network(Simulator& sim, const Topology& topo, NetworkConfig config,
     const std::vector<double> bounds = ExponentialBounds(1024, 4, 12);
     m_fetch_bytes_ = &metrics->histogram("netsim.fetch_flow_bytes", bounds);
     m_push_bytes_ = &metrics->histogram("netsim.push_flow_bytes", bounds);
+    m_multicasts_started_ = &metrics->counter("netsim.multicasts_started");
+    m_multicasts_completed_ = &metrics->counter("netsim.multicasts_completed");
+    m_multicast_legs_ = &metrics->counter("netsim.multicast_legs");
   }
   const std::size_t num_res =
       2 * static_cast<std::size_t>(topo_.num_nodes()) + topo_.num_wan_links();
@@ -356,7 +358,6 @@ void Network::StartMulticastFlow(NodeIndex src,
     for (NodeIndex r : receivers) seen = seen || topo_.dc_of(r) == dc;
     if (!seen) receivers.push_back(dst);
   }
-  EnsureMulticastMetrics();
   // The group is bookkeeping over ordinary legs, owning no resources and
   // adding no solver state: the legs share one outstanding count, and the
   // last to finish fires `on_complete`.
@@ -378,16 +379,6 @@ void Network::StartMulticastFlow(NodeIndex src,
     m_multicasts_started_->Add(1);
     m_multicast_legs_->Add(static_cast<std::int64_t>(receivers.size()));
   }
-}
-
-void Network::EnsureMulticastMetrics() {
-  if (metrics_ == nullptr || m_multicasts_started_ != nullptr) return;
-  // Registered on first use: a registry snapshot lands verbatim in the
-  // RunReport, so unconditional registration would perturb every golden
-  // report of runs that never multicast.
-  m_multicasts_started_ = &metrics_->counter("netsim.multicasts_started");
-  m_multicasts_completed_ = &metrics_->counter("netsim.multicasts_completed");
-  m_multicast_legs_ = &metrics_->counter("netsim.multicast_legs");
 }
 
 Rate Network::flow_rate(FlowId id) const {

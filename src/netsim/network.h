@@ -413,16 +413,11 @@ class Network {
     return config_.jitter_interval > 0 && topo_.num_wan_links() > 0;
   }
 
-  // Registers the multicast counters on first use. Lazy so runs that never
-  // multicast keep their metric snapshots (and golden reports) unchanged.
-  void EnsureMulticastMetrics();
-
   Simulator& sim_;
   const Topology& topo_;
   NetworkConfig config_;
   Rng jitter_rng_;
   TrafficMeter meter_;
-  MetricsRegistry* metrics_ = nullptr;
 
   std::vector<Rate> capacity_;      // per resource, current (incl. degrade)
   std::vector<Rate> wan_current_;   // per WAN link, jittered capacity
@@ -479,8 +474,6 @@ class Network {
   Gauge* m_active_flows_ = nullptr;
   Histogram* m_fetch_bytes_ = nullptr;
   Histogram* m_push_bytes_ = nullptr;
-
-  // Multicast counters, registered lazily (EnsureMulticastMetrics).
   Counter* m_multicasts_started_ = nullptr;
   Counter* m_multicasts_completed_ = nullptr;
   Counter* m_multicast_legs_ = nullptr;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "engine/cluster.h"
 #include "engine/dataset.h"
 
@@ -16,6 +19,7 @@ namespace {
 TEST(RunReportTest, GoldenJsonEncoding) {
   RunReport r;
   r.scheme = "AggShuffle";
+  r.transport = "direct";
   r.seed = 7;
   r.scale = 100;
   r.label = "golden";
@@ -54,10 +58,14 @@ TEST(RunReportTest, GoldenJsonEncoding) {
   r.links.push_back(l);
   r.cost_usd = 0.25;
   r.cost_usd_full_scale = 25;
+  r.egress_cost_usd = 0.25;
 
   const std::string expected =
-      "{\"schema_version\":2,"
-      "\"scheme\":\"AggShuffle\",\"seed\":7,\"scale\":100,"
+      "{\"schema_version\":3,"
+      "\"scheme\":\"AggShuffle\",\"transport\":\"direct\","
+      "\"adaptive\":false,"
+      "\"coded\":{\"enabled\":false,\"redundancy_r\":0},"
+      "\"seed\":7,\"scale\":100,"
       "\"label\":\"golden\","
       "\"topology\":{\"num_datacenters\":2,\"num_nodes\":4},"
       "\"job\":{\"job_id\":3,\"tenant\":\"etl\",\"submitted\":0.5,"
@@ -66,6 +74,10 @@ TEST(RunReportTest, GoldenJsonEncoding) {
       "\"cross_dc_push_bytes\":0,\"cross_dc_centralize_bytes\":0,"
       "\"task_failures\":0,\"fetch_failures\":0,\"node_crashes\":0,"
       "\"map_resubmissions\":0,\"push_retries\":0,\"push_fallbacks\":0,"
+      "\"replans\":0,\"receivers_moved\":0,\"adaptive_fallbacks\":0,"
+      "\"placement_misses\":0,\"coded_groups\":0,"
+      "\"coded_multicast_bytes\":0,\"coded_residual_bytes\":0,"
+      "\"coded_local_bytes\":0,\"coded_replica_compute_seconds\":0,"
       "\"stages\":[]},"
       "\"jobs\":[{\"job_id\":3,\"tenant\":\"etl\",\"label\":\"wc\","
       "\"submitted\":0.5,\"started\":1,\"queue_delay\":0.5,"
@@ -78,7 +90,8 @@ TEST(RunReportTest, GoldenJsonEncoding) {
       "{\"src_dc\":0,\"dst_dc\":1,\"src\":\"dc0\",\"dst\":\"dc1\","
       "\"base_rate\":1048576,\"total_bytes\":1024,"
       "\"buckets\":[512,0,512]}]},"
-      "\"cost\":{\"cost_usd\":0.25,\"cost_usd_full_scale\":25},"
+      "\"cost\":{\"cost_usd\":0.25,\"cost_usd_full_scale\":25,"
+      "\"egress_cost_usd\":0.25,\"store_cost_usd\":0},"
       "\"trace\":{\"enabled\":false,\"spans\":0,\"task_spans\":0,"
       "\"stage_spans\":0,\"flow_spans\":0,\"phase_spans\":0,"
       "\"flow_bytes\":0}}";
@@ -178,7 +191,7 @@ TEST(RunReportTest, RealRunFillsEverySection) {
 
   // The serialized form mentions each section exactly where expected.
   const std::string json = rep.ToJson();
-  EXPECT_EQ(json.rfind("{\"schema_version\":2,", 0), 0u);
+  EXPECT_EQ(json.rfind("{\"schema_version\":3,", 0), 0u);
   EXPECT_NE(json.find("\"utilization\":{\"bucket_seconds\":1,"),
             std::string::npos);
 }
@@ -201,6 +214,123 @@ TEST(RunReportTest, ReportsAreIdenticalForIdenticalRuns) {
     return RunSmallJob(cluster).report.ToJson();
   };
   EXPECT_EQ(json(), json());
+}
+
+// The flattened key paths of a report's JSON: object keys joined by '.',
+// array items collapsed to "[]", plus one "metrics.snapshots[<name>]" per
+// registered metric.
+std::set<std::string> KeyPaths(const RunReport& rep) {
+  struct Walker {
+    const std::string& s;
+    std::size_t i = 0;
+    std::set<std::string> paths;
+
+    std::string String() {
+      std::string out;
+      for (++i; s[i] != '"'; ++i) {
+        if (s[i] == '\\') ++i;
+        out += s[i];
+      }
+      ++i;
+      return out;
+    }
+    void Value(const std::string& path) {
+      if (s[i] == '{' || s[i] == '[') {
+        const char close = s[i] == '{' ? '}' : ']';
+        for (++i; s[i] != close;) {
+          if (s[i] == ',') ++i;
+          if (close == ']') {
+            Value(path + "[]");
+            continue;
+          }
+          const std::string key = String();
+          ++i;  // ':'
+          Value(path.empty() ? key : path + "." + key);
+        }
+        ++i;
+        return;
+      }
+      if (s[i] == '"') {
+        String();
+      } else {
+        while (s[i] != ',' && s[i] != '}' && s[i] != ']') ++i;
+      }
+      paths.insert(path);
+    }
+  };
+  const std::string json = rep.ToJson();
+  Walker w{json, 0, {}};
+  w.Value("");
+  for (const MetricSnapshot& m : rep.metrics) {
+    w.paths.insert("metrics.snapshots[" + m.name + "]");
+  }
+  return w.paths;
+}
+
+// One schema for every run: a direct, an object-store, a fabric, an
+// adaptive and a coded r=2 run write the same key paths and register the
+// same metrics, whatever their transport, flags or counts.
+TEST(RunReportTest, EveryRunWritesTheSameKeys) {
+  Topology topo;
+  for (int dc = 0; dc < 3; ++dc) {
+    topo.AddDatacenter("dc" + std::to_string(dc));
+    for (int n = 0; n < 2; ++n) {
+      topo.AddNode({"w" + std::to_string(dc) + std::to_string(n), dc, 2,
+                    Gbps(1)});
+    }
+  }
+  topo.AddUniformWanMesh(Mbps(200), Mbps(80), Mbps(300), Millis(100));
+
+  auto run = [&topo](RunConfig cfg) {
+    GeoCluster cluster(topo, std::move(cfg));
+    std::vector<Record> records;
+    for (int i = 0; i < 300; ++i) {
+      records.push_back({"k" + std::to_string(i % 17), std::int64_t{1}});
+    }
+    return cluster.Parallelize("d", records, 2)
+        .ReduceByKey(SumInt64(), 6)
+        .Run(ActionKind::kCollect)
+        .report;
+  };
+  RunConfig direct = Cfg(/*metrics=*/true);
+  RunConfig objstore = direct;
+  objstore.transport.kind = TransportKind::kObjectStore;
+  RunConfig fabric = direct;
+  fabric.transport.kind = TransportKind::kFabric;
+  RunConfig adaptive = direct;
+  adaptive.adaptive.enabled = true;
+  RunConfig coded = direct;
+  coded.scheme = Scheme::kSpark;
+  coded.coded.enabled = true;
+  coded.coded.redundancy_r = 2;
+
+  const RunReport base = run(direct);
+  const std::set<std::string> want = KeyPaths(base);
+  for (const char* name :
+       {"transport", "adaptive", "coded.enabled", "coded.redundancy_r",
+        "job.replans", "job.placement_misses", "job.coded_groups",
+        "cost.egress_cost_usd", "cost.store_cost_usd",
+        "metrics.snapshots[engine.adaptive_replans]",
+        "metrics.snapshots[engine.placement_misses]",
+        "metrics.snapshots[engine.coded_groups]",
+        "metrics.snapshots[netsim.multicasts_started]",
+        "metrics.snapshots[transport.store_puts]",
+        "metrics.snapshots[transport.fabric_transfers]"}) {
+    EXPECT_EQ(want.count(name), 1u) << name;
+  }
+  EXPECT_FALSE(base.links.empty());
+  for (const RunConfig& cfg : {objstore, fabric, adaptive, coded}) {
+    const RunReport rep = run(cfg);
+    EXPECT_EQ(KeyPaths(rep), want)
+        << rep.scheme << " " << rep.transport << " adaptive=" << rep.adaptive
+        << " coded=" << rep.coded;
+    EXPECT_FALSE(rep.links.empty()) << "every run must cross the WAN";
+    if (rep.coded) {
+      EXPECT_NE(rep.ToJson().find(
+                    "\"coded\":{\"enabled\":true,\"redundancy_r\":2}"),
+                std::string::npos);
+    }
+  }
 }
 
 }  // namespace

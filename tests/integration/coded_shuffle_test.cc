@@ -117,20 +117,6 @@ TEST(CodedShuffleTest, ReplicationShrinksWanBytesVersusPlainSpark) {
   EXPECT_LT(coded.metrics.cross_dc_bytes, plain.metrics.cross_dc_bytes);
 }
 
-TEST(CodedShuffleTest, ReportGatesCodedKeysOnTheFlag) {
-  RunResult plain = RunWordcount(ConfigFor(Scheme::kSpark, 0));
-  EXPECT_FALSE(plain.report.coded);
-  EXPECT_EQ(plain.report.ToJson().find("\"coded\""), std::string::npos)
-      << "coded-off reports must stay byte-identical to pre-coded goldens";
-
-  RunResult coded = RunWordcount(ConfigFor(Scheme::kSpark, 2));
-  EXPECT_TRUE(coded.report.coded);
-  EXPECT_EQ(coded.report.coded_redundancy_r, 2);
-  const std::string json = coded.report.ToJson();
-  EXPECT_NE(json.find("\"coded\""), std::string::npos);
-  EXPECT_NE(json.find("\"redundancy_r\":2"), std::string::npos);
-}
-
 void ExpectRejected(RunConfig cfg) {
   EXPECT_THROW(GeoCluster(Ec2SixRegionTopology(100), std::move(cfg)),
                CheckFailure);

@@ -142,6 +142,30 @@ TEST(SimcheckRegressionTest, ReceiverNotPlacedOnDeadNodeSeed1250) {
   EXPECT_TRUE(r.ok()) << Describe(r);
 }
 
+// Bug 6 (engine): RecoverReceiver lifted a dead receiver's kNodeOnly
+// write-phase pin only under adaptive placement. In a non-adaptive run a
+// permanent crash left the orphaned request pinned to the dead node, so
+// the job completed with the scheduler queue still holding it (the
+// "scheduler queue not drained" family). The pin is now lifted in every
+// run. Minimized from seed 5659.
+TEST(SimcheckRegressionTest, ReceiverPinLiftedAfterPermanentCrashSeed5659) {
+  const SimcheckConfig cfg = Parse(
+      R"({"seed":5659,"num_dcs":1,"nodes_per_dc":3,"dedicated_driver":true,)"
+      R"("wan_rate_mbps":80,"rtt_ms":158,"uniform_wan":false,"dag_shape":4,)"
+      R"("num_records":15,"num_keys":26,"partitions_per_dc":5,)"
+      R"("num_shards":1,"map_side_combine":true,"save_action":false,)"
+      R"("aggregator_dc_count":2,"threads_high":2,"noisy_network":false,)"
+      R"("crash":true,"crash_victim":3,"crash_frac":0.59928137616989,)"
+      R"("restart_after":0,"degrade":false,)"
+      R"("degrade_factor":0.29443699210215085,)"
+      R"("degrade_frac":0.4877427629175496,)"
+      R"("degrade_duration":8.520276129362351,"block_loss":false,)"
+      R"("block_loss_frac":0.3672681918136813,"transport":0,"adaptive":0,)"
+      R"("coded":1})");
+  const CheckResult r = simcheck::RunEngineCheck(cfg);
+  EXPECT_TRUE(r.ok()) << Describe(r);
+}
+
 // ---------------------------------------------------------------------------
 // Direct root-cause pins.
 // ---------------------------------------------------------------------------

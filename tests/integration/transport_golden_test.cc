@@ -128,12 +128,13 @@ TEST(TransportFrontierTest, ObjectStoreIsCheaperAndSlowerThanDirect) {
 
   EXPECT_LT(staged.report.cost_usd, direct.report.cost_usd);
   EXPECT_GT(staged.metrics.jct(), direct.metrics.jct());
-  // The breakdown is only reported for the staged run, and adds up.
+  // Only the staged run pays a store bill, and the breakdown adds up.
   EXPECT_GT(staged.report.store_cost_usd, 0.0);
   EXPECT_DOUBLE_EQ(
       staged.report.cost_usd,
       staged.report.egress_cost_usd + staged.report.store_cost_usd);
-  EXPECT_EQ(direct.report.transport, "");
+  EXPECT_EQ(direct.report.store_cost_usd, 0.0);
+  EXPECT_EQ(direct.report.transport, "direct");
   EXPECT_EQ(staged.report.transport, "objstore");
 }
 

@@ -140,9 +140,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(WorkloadCorrectnessTest, SortSaveReturnsPinnedAcksAndReport) {
   WorkloadParams params = TestParams();
   params.collect_results = false;
-  const std::uint64_t expected_report[] = {12838890414967237124ull,
-                                           15325486425436206719ull,
-                                           8335179527921438283ull};
+  const std::uint64_t expected_report[] = {8094521453004231377ull,
+                                           16570660042515875076ull,
+                                           14737290663667058948ull};
   int i = 0;
   for (Scheme scheme :
        {Scheme::kSpark, Scheme::kCentralized, Scheme::kAggShuffle}) {
